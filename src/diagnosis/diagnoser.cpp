@@ -5,6 +5,8 @@
 #include <cassert>
 #include <chrono>
 #include <future>
+#include <stdexcept>
+#include <string>
 
 #include "common/executor.h"
 #include "obs/metrics.h"
@@ -13,7 +15,6 @@
 namespace m3dfl::diag {
 
 using netlist::GateId;
-using netlist::GateType;
 using sim::InjectedFault;
 using sim::kWordBits;
 
@@ -22,65 +23,62 @@ Diagnoser::Diagnoser(const Netlist& nl, const SiteTable& sites,
     : nl_(&nl),
       sites_(&sites),
       scan_(scan),
-      compactor_(scan),
-      opts_(opts) {
-  // Fan-in cone bitsets, one per observation point.
-  const std::size_t n = nl.num_gates();
-  cone_words_ = (n + kWordBits - 1) / kWordBits;
-  const auto outs = nl.outputs();
-  cone_.assign(outs.size() * cone_words_, 0);
-  std::vector<GateId> stack;
-  for (std::size_t o = 0; o < outs.size(); ++o) {
-    Word* bits = cone_.data() + o * cone_words_;
-    stack.clear();
-    stack.push_back(outs[o]);
-    bits[outs[o] / kWordBits] |= Word{1} << (outs[o] % kWordBits);
-    while (!stack.empty()) {
-      const GateId g = stack.back();
-      stack.pop_back();
-      for (GateId d : nl.gate(g).fanin) {
-        Word& w = bits[d / kWordBits];
-        const Word m = Word{1} << (d % kWordBits);
-        if (!(w & m)) {
-          w |= m;
-          stack.push_back(d);
-        }
-      }
-    }
-  }
-}
+      opts_(opts) {}
 
 void Diagnoser::bind(FaultSimulator& fsim) {
   fsim_ = &fsim;
   pool_.reset();  // Clones of the previous simulator are stale.
 }
 
-bool Diagnoser::gate_in_cone_of_output(GateId g, std::uint32_t output) const {
-  const Word* bits = cone_.data() + static_cast<std::size_t>(output) * cone_words_;
-  return (bits[g / kWordBits] >> (g % kWordBits)) & 1;
+void Diagnoser::check_log(const FailureLog& log) const {
+  auto check = [](std::size_t i, const char* field, std::uint32_t value,
+                  std::size_t limit) {
+    if (value < limit) return;
+    throw std::invalid_argument(
+        "failure log entry " + std::to_string(i) + ": " + field + " " +
+        std::to_string(value) + " out of range (design has " +
+        std::to_string(limit) + ")");
+  };
+  const std::size_t patterns = fsim_->num_patterns();
+  if (log.compacted) {
+    for (std::size_t i = 0; i < log.cfails.size(); ++i) {
+      check(i, "pattern", log.cfails[i].pattern, patterns);
+      check(i, "channel", log.cfails[i].channel, scan_.num_channels);
+      check(i, "cycle", log.cfails[i].cycle, scan_.chain_length);
+    }
+  } else {
+    for (std::size_t i = 0; i < log.fails.size(); ++i) {
+      check(i, "pattern", log.fails[i].pattern, patterns);
+      check(i, "output", log.fails[i].output, nl_->num_outputs());
+    }
+  }
 }
 
-std::vector<GateId> Diagnoser::collect_suspect_gates(const FailureLog& log) {
-  assert(fsim_);
+std::vector<GateId> Diagnoser::suspect_gates(const FailureLog& log) {
+  assert(fsim_ && "bind() a FaultSimulator before diagnosing");
+  check_log(log);  // Before anything indexes by a log entry.
   const auto& good = fsim_->good();
-  const std::size_t W = good.num_words;
   const std::size_t num_gates = nl_->num_gates();
 
-  // Failing responses as (pattern, candidate observation points).
+  // Failing responses as (observation-point set, pattern). The set is one
+  // output in bypass mode and one compactor cell, (channel << 32) | cycle,
+  // in compacted mode.
   struct Response {
+    std::uint64_t obs;
     std::uint32_t pattern;
-    std::vector<std::uint32_t> outputs;
   };
   std::vector<Response> responses;
   if (log.compacted) {
     responses.reserve(log.cfails.size());
     for (const FailureLog::CObs& f : log.cfails) {
-      responses.push_back({f.pattern, scan_.outputs_of(f.channel, f.cycle)});
+      responses.push_back(
+          {(static_cast<std::uint64_t>(f.channel) << 32) | f.cycle,
+           f.pattern});
     }
   } else {
     responses.reserve(log.fails.size());
     for (const FailureLog::Obs& f : log.fails) {
-      responses.push_back({f.pattern, {f.output}});
+      responses.push_back({f.output, f.pattern});
     }
   }
   if (responses.empty()) return {};
@@ -94,123 +92,115 @@ std::vector<GateId> Diagnoser::collect_suspect_gates(const FailureLog& log) {
     const double stride =
         static_cast<double>(responses.size()) / kMaxResponses;
     for (std::size_t i = 0; i < kMaxResponses; ++i) {
-      sampled.push_back(
-          std::move(responses[static_cast<std::size_t>(i * stride)]));
+      sampled.push_back(responses[static_cast<std::size_t>(i * stride)]);
     }
     responses = std::move(sampled);
   }
+  const auto all = static_cast<std::uint32_t>(responses.size());
 
-  auto passes = [&](GateId g, const Response& r) {
-    if (!opts_.include_stuck_at) {
-      // TDF: only a transitioning node can launch the fault effect.
-      const Word tr = good.tr_word(g, r.pattern / kWordBits);
-      if (!((tr >> (r.pattern % kWordBits)) & 1)) return false;
+  // count_[g] = number of responses g explains: g lies in the fan-in cone
+  // of the response's observation points and (TDF) transitions under its
+  // pattern. Responses sharing an observation-point set share one cone
+  // walk; the walk is the only place gates are visited, so untouched gates
+  // keep count 0 and the cost scales with the failing cones, not the
+  // design.
+  if (mark_.size() != num_gates) {
+    mark_.assign(num_gates, 0);
+    count_.assign(num_gates, 0);
+    epoch_ = 0;
+  }
+  std::sort(responses.begin(), responses.end(),
+            [](const Response& a, const Response& b) { return a.obs < b.obs; });
+  const auto outs = nl_->outputs();
+  std::vector<std::uint32_t> group_outputs;
+  std::uint64_t walked = 0;
+  touched_.clear();
+  for (std::size_t lo = 0, hi; lo < responses.size(); lo = hi) {
+    hi = lo;
+    while (hi < responses.size() && responses[hi].obs == responses[lo].obs) {
+      ++hi;
     }
-    for (std::uint32_t o : r.outputs) {
-      if (gate_in_cone_of_output(g, o)) return true;
+    const std::uint64_t obs = responses[lo].obs;
+    if (log.compacted) {
+      group_outputs = scan_.outputs_of(static_cast<std::uint32_t>(obs >> 32),
+                                       static_cast<std::uint32_t>(obs));
+    } else {
+      group_outputs.assign(1, static_cast<std::uint32_t>(obs));
     }
-    return false;
-  };
 
-  // Suspect counting. Gates are scanned either exhaustively or — with a
-  // partition attached — region by region, skipping every region whose
-  // output closure misses all failing observation points (no such gate can
-  // pass the cone test, so its count stays 0 either way). count[] slots are
-  // disjoint across regions/ranges, which makes the parallel fan-out
-  // deterministic: the merged counts are identical at every thread count.
-  std::vector<std::uint32_t> count(num_gates, 0);
-  auto count_gates = [&](std::span<const GateId> gates) {
-    for (const Response& r : responses) {
-      for (GateId g : gates) {
-        if (passes(g, r)) ++count[g];
+    // Breadth-first walk of the union cone; walk_ doubles as the queue
+    // and the visited list.
+    if (++epoch_ == 0) {  // Wrapped: restamp so stale marks cannot match.
+      std::fill(mark_.begin(), mark_.end(), 0);
+      epoch_ = 1;
+    }
+    walk_.clear();
+    for (std::uint32_t o : group_outputs) {
+      if (mark_[outs[o]] != epoch_) {
+        mark_[outs[o]] = epoch_;
+        walk_.push_back(outs[o]);
       }
     }
-  };
-  auto count_range = [&](GateId lo, GateId hi) {
-    for (const Response& r : responses) {
-      for (GateId g = lo; g < hi; ++g) {
-        if (passes(g, r)) ++count[g];
-      }
-    }
-  };
-  std::size_t threads = resolve_num_threads(opts_.num_threads);
-  if (partition_ != nullptr) {
-    static obs::Counter& skipped_ctr =
-        obs::MetricsRegistry::instance().counter("diag.regions_skipped");
-    std::vector<std::uint8_t> touched(partition_->num_regions(), 0);
-    for (const Response& r : responses) {
-      for (std::uint32_t o : r.outputs) {
-        for (std::uint32_t reg : partition_->regions_of_output(o)) {
-          touched[reg] = 1;
+    for (std::size_t i = 0; i < walk_.size(); ++i) {
+      for (GateId d : nl_->gate(walk_[i]).fanin) {
+        if (mark_[d] != epoch_) {
+          mark_[d] = epoch_;
+          walk_.push_back(d);
         }
       }
     }
-    std::vector<std::uint32_t> active;
-    active.reserve(touched.size());
-    for (std::uint32_t r = 0; r < touched.size(); ++r) {
-      if (touched[r]) active.push_back(r);
-    }
-    skipped_ctr.add(touched.size() - active.size());
-    if (threads <= 1 || active.size() < 2) {
-      for (std::uint32_t r : active) count_gates(partition_->region(r).gates);
-    } else {
-      Executor exec(std::min(threads, active.size()), "diag.backtrace");
-      std::vector<std::future<void>> done;
-      done.reserve(active.size());
-      for (std::uint32_t r : active) {
-        done.push_back(exec.submit(
-            [&count_gates, this, r] { count_gates(partition_->region(r).gates); }));
-      }
-      for (auto& f : done) f.get();
-    }
-  } else if (threads > 1 && num_gates >= 4096) {
-    const std::size_t num_chunks = std::min<std::size_t>(num_gates, threads * 4);
-    const std::size_t chunk = (num_gates + num_chunks - 1) / num_chunks;
-    Executor exec(threads, "diag.backtrace");
-    std::vector<std::future<void>> done;
-    for (std::size_t lo = 0; lo < num_gates; lo += chunk) {
-      const GateId hi =
-          static_cast<GateId>(std::min<std::size_t>(num_gates, lo + chunk));
-      done.push_back(exec.submit([&count_range, lo, hi] {
-        count_range(static_cast<GateId>(lo), hi);
-      }));
-    }
-    for (auto& f : done) f.get();
-  } else {
-    count_range(0, static_cast<GateId>(num_gates));
-  }
-  (void)W;
+    walked += walk_.size();
 
+    for (GateId g : walk_) {
+      auto add = static_cast<std::uint32_t>(hi - lo);
+      if (!opts_.include_stuck_at) {
+        // TDF: only a transitioning node can launch the fault effect. A
+        // repeated log entry counts once per repeat.
+        add = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::uint32_t p = responses[i].pattern;
+          add += (good.tr_word(g, p / kWordBits) >> (p % kWordBits)) & 1;
+        }
+      }
+      if (add == 0) continue;
+      if (count_[g] == 0) touched_.push_back(g);
+      count_[g] += add;
+    }
+  }
+  static obs::Counter& walked_ctr =
+      obs::MetricsRegistry::instance().counter("diag.backtrace_gates");
+  walked_ctr.add(walked);
+
+  // Suspects in ascending gate order, as a scan over all gates would give.
+  std::sort(touched_.begin(), touched_.end());
   std::vector<GateId> suspects;
-  const auto all = static_cast<std::uint32_t>(responses.size());
   if (!opts_.multifault) {
     // Single defect: a strong candidate explains (nearly) every failing
     // response; near-misses are kept per single_fault_relax.
     const auto floor_count = std::max<std::uint32_t>(
         1, static_cast<std::uint32_t>(opts_.single_fault_relax * all));
-    for (GateId g = 0; g < num_gates; ++g) {
-      if (count[g] >= floor_count) suspects.push_back(g);
+    std::uint32_t best = 0;
+    for (GateId g : touched_) {
+      if (count_[g] >= floor_count) suspects.push_back(g);
+      best = std::max(best, count_[g]);
     }
     if (suspects.empty()) {
       // Compaction aliasing can defeat even the relaxed floor; degrade
       // gracefully to the best-explaining gates.
-      std::uint32_t best = 0;
-      for (GateId g = 0; g < num_gates; ++g) best = std::max(best, count[g]);
-      for (GateId g = 0; g < num_gates && best > 0; ++g) {
-        if (count[g] == best) suspects.push_back(g);
+      for (GateId g : touched_) {
+        if (count_[g] == best) suspects.push_back(g);
       }
     }
   } else {
     // Multiple defects: any gate explaining at least one response is a
     // suspect; rank by how much of the log it could explain.
-    for (GateId g = 0; g < num_gates; ++g) {
-      if (count[g] > 0) suspects.push_back(g);
-    }
+    suspects = touched_;
     std::stable_sort(suspects.begin(), suspects.end(),
-                     [&count](GateId a, GateId b) {
-                       return count[a] > count[b];
+                     [this](GateId a, GateId b) {
+                       return count_[a] > count_[b];
                      });
   }
+  for (GateId g : touched_) count_[g] = 0;
   if (suspects.size() > opts_.max_suspects) {
     suspects.resize(opts_.max_suspects);
   }
@@ -247,8 +237,6 @@ std::vector<Candidate> Diagnoser::score_candidates(
   // drive. Deduplicated by construction (each site enumerated once).
   std::vector<netlist::SiteId> cand_sites;
   cand_sites.reserve(suspects.size() * 3);
-  std::vector<std::uint8_t> is_suspect(nl_->num_gates(), 0);
-  for (GateId d : suspects) is_suspect[d] = 1;
   for (GateId d : suspects) {
     cand_sites.push_back(sites_->stem_of(d));
     for (GateId g : nl_->gate(d).fanout) {
@@ -263,6 +251,9 @@ std::vector<Candidate> Diagnoser::score_candidates(
   if (cand_sites.size() > opts_.max_suspects) {
     cand_sites.resize(opts_.max_suspects);
   }
+  static obs::Counter& scored_ctr =
+      obs::MetricsRegistry::instance().counter("diag.sites_scored");
+  scored_ctr.add(cand_sites.size());
 
   signatures_.clear();
   std::vector<Candidate> scored;
@@ -275,59 +266,52 @@ std::vector<Candidate> Diagnoser::score_candidates(
     polarities.push_back(FaultPolarity::kStuckAt1);
   }
 
-  const std::size_t threads =
-      std::min(resolve_num_threads(opts_.num_threads), cand_sites.size());
-  if (threads <= 1) {
-    for (netlist::SiteId site : cand_sites) {
-      Candidate best;
-      Signature best_sig;
-      if (!score_site(*fsim_, scratch_, log, num_rows, polarities, site, best,
-                      best_sig)) {
-        continue;
-      }
-      scored.push_back(best);
-      if (opts_.multifault) signatures_.push_back(std::move(best_sig));
-    }
-    return scored;
-  }
-
-  // Parallel scoring: contiguous candidate chunks, each on a pooled
-  // simulator clone with private scratch, merged back in chunk order —
-  // the scored sequence is identical to the sequential pass.
-  if (!pool_) pool_ = std::make_unique<sim::SimulatorPool>(*fsim_);
-  const std::size_t num_chunks =
-      std::min(cand_sites.size(), threads * 4);
-  const std::size_t chunk = (cand_sites.size() + num_chunks - 1) / num_chunks;
+  // Contiguous candidate chunks, merged back in chunk order, so the scored
+  // sequence is identical at every thread count. The sequential pass is one
+  // chunk on the bound simulator; parallel chunks each take a pooled
+  // simulator clone with private scratch.
   struct ChunkOut {
     std::vector<Candidate> cands;
     std::vector<Signature> sigs;
   };
-  std::vector<ChunkOut> outs((cand_sites.size() + chunk - 1) / chunk);
-  Executor exec(threads, "diag.score");
-  std::vector<std::future<void>> done;
-  done.reserve(outs.size());
-  for (std::size_t c = 0; c < outs.size(); ++c) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(cand_sites.size(), lo + chunk);
-    const std::span<const netlist::SiteId> sites_span(
-        cand_sites.data() + lo, hi - lo);
-    done.push_back(exec.submit([this, &log, num_rows, &polarities, sites_span,
-                                out = &outs[c]] {
-      auto sim = pool_->lease();
-      ScoreScratch sc;
-      for (netlist::SiteId site : sites_span) {
-        Candidate best;
-        Signature best_sig;
-        if (!score_site(*sim, sc, log, num_rows, polarities, site, best,
-                        best_sig)) {
-          continue;
-        }
-        out->cands.push_back(best);
-        if (opts_.multifault) out->sigs.push_back(std::move(best_sig));
+  auto score_chunk = [&](FaultSimulator& sim, ScoreScratch& sc,
+                         std::span<const netlist::SiteId> chunk_sites,
+                         ChunkOut& out) {
+    for (netlist::SiteId site : chunk_sites) {
+      Candidate best;
+      Signature best_sig;
+      if (!score_site(sim, sc, log, num_rows, polarities, site, best,
+                      best_sig)) {
+        continue;
       }
-    }));
+      out.cands.push_back(best);
+      if (opts_.multifault) out.sigs.push_back(std::move(best_sig));
+    }
+  };
+  const std::size_t threads =
+      std::min(resolve_num_threads(opts_.num_threads), cand_sites.size());
+  const std::size_t num_chunks =
+      threads <= 1 ? 1 : std::min(cand_sites.size(), threads * 4);
+  const std::size_t chunk = (cand_sites.size() + num_chunks - 1) / num_chunks;
+  std::vector<ChunkOut> outs(num_chunks);
+  if (threads <= 1) {
+    score_chunk(*fsim_, scratch_, cand_sites, outs[0]);
+  } else {
+    if (!pool_) pool_ = std::make_unique<sim::SimulatorPool>(*fsim_);
+    Executor exec(threads, "diag.score");
+    std::vector<std::future<void>> done;
+    done.reserve(num_chunks);
+    for (std::size_t lo = 0, c = 0; lo < cand_sites.size(); lo += chunk, ++c) {
+      const std::span<const netlist::SiteId> chunk_sites(
+          cand_sites.data() + lo, std::min(chunk, cand_sites.size() - lo));
+      done.push_back(exec.submit([&, chunk_sites, out = &outs[c]] {
+        auto sim = pool_->lease();
+        ScoreScratch sc;
+        score_chunk(*sim, sc, chunk_sites, *out);
+      }));
+    }
+    for (auto& f : done) f.get();  // Propagates shard exceptions.
   }
-  for (auto& f : done) f.get();  // Propagates shard exceptions.
   for (ChunkOut& out : outs) {
     for (Candidate& c : out.cands) scored.push_back(c);
     for (Signature& s : out.sigs) signatures_.push_back(std::move(s));
@@ -472,9 +456,8 @@ DiagnosisReport Diagnoser::assemble_single(std::vector<Candidate> scored) {
   return report;
 }
 
-DiagnosisReport Diagnoser::assemble_multifault(std::vector<Candidate> scored,
-                                               const FailureLog& log) {
-  (void)log;
+DiagnosisReport Diagnoser::assemble_multifault(
+    std::vector<Candidate> scored) {
   DiagnosisReport report;
   if (scored.empty()) return report;
   assert(signatures_.size() == scored.size());
@@ -483,10 +466,8 @@ DiagnosisReport Diagnoser::assemble_multifault(std::vector<Candidate> scored,
   // residual failure set with high precision.
   std::vector<std::uint64_t> residual;
   {
-    // Residual = all observed keys; reconstruct from obs_mask_ popcount via
-    // the union of candidate signatures is not sufficient, so rebuild.
-    // Keys follow the same encoding as Signature::keys.
-    // obs rows were filled in score_candidates.
+    // Residual = every observed key of obs_mask_ (filled by
+    // score_candidates), in the encoding of Signature::keys.
     const std::size_t W = fsim_->num_words();
     const std::size_t rows = obs_mask_.size() / std::max<std::size_t>(1, W);
     for (std::size_t r = 0; r < rows; ++r) {
@@ -590,7 +571,7 @@ DiagnosisReport Diagnoser::diagnose(const FailureLog& log) {
     {
       M3DFL_OBS_SPAN(span, "diag.backtrace");
       const auto t0 = clock::now();
-      suspects = collect_suspect_gates(log);
+      suspects = suspect_gates(log);
       bt_hist.record(seconds_since(t0));
     }
     std::vector<Candidate> scored;
@@ -603,7 +584,7 @@ DiagnosisReport Diagnoser::diagnose(const FailureLog& log) {
     {
       M3DFL_OBS_SPAN(span, "diag.rank");
       const auto t0 = clock::now();
-      report = opts_.multifault ? assemble_multifault(std::move(scored), log)
+      report = opts_.multifault ? assemble_multifault(std::move(scored))
                                 : assemble_single(std::move(scored));
       rank_hist.record(seconds_since(t0));
     }

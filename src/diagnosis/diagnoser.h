@@ -6,10 +6,8 @@
 #include <vector>
 
 #include "atpg/scan_config.h"
-#include "compress/compactor.h"
 #include "diagnosis/report.h"
 #include "netlist/fault_site.h"
-#include "partition/hier.h"
 #include "sim/failure_log.h"
 #include "sim/fault_sim.h"
 #include "sim/sim_pool.h"
@@ -47,10 +45,9 @@ struct DiagnoserOptions {
   /// fails patterns it never transitions on). Enables diagnosing stuck-at
   /// defects with the same engine.
   bool include_stuck_at = false;
-  /// Worker threads for the structural back-trace and per-candidate fault
-  /// simulation (0 = one per hardware thread). Parallel runs shard over
-  /// disjoint gate/candidate ranges and merge in order, so reports are
-  /// bit-identical at every thread count.
+  /// Worker threads for per-candidate fault simulation (0 = one per
+  /// hardware thread). Parallel runs shard over disjoint candidate ranges
+  /// and merge in order, so reports are bit-identical at every thread count.
   std::size_t num_threads = 1;
 };
 
@@ -60,7 +57,10 @@ struct DiagnoserOptions {
 /// Pipeline per failure log:
 ///  1. structural back-trace: suspect gates = transitioning gates inside the
 ///     fan-in cones of the failing observation points (intersected across
-///     failing responses for a single defect, united for multi-fault);
+///     failing responses for a single defect, united for multi-fault). The
+///     cones are walked per request over the netlist's fan-in lists, once
+///     per distinct failing observation-point set, so the engine keeps no
+///     per-design cone index — only O(gates) scratch;
 ///  2. candidate enumeration: stem and branch fault sites over the suspects;
 ///  3. per-candidate TDF fault simulation (both polarities) and signature
 ///     matching against the observed failure log — at the observation-point
@@ -74,17 +74,15 @@ class Diagnoser {
   /// Attaches the fault simulator (already bound to the pattern set).
   void bind(FaultSimulator& fsim);
 
-  /// Attaches a hierarchical campaign partition (borrowed; pass nullptr to
-  /// detach; must outlive diagnose() calls). The structural back-trace then
-  /// skips whole regions whose output closure misses the failing
-  /// observation points and, with num_threads > 1, fans per-region suspect
-  /// counting out over a thread pool. Reports are bit-identical with or
-  /// without a partition.
-  void set_partition(const part::HierPartition* hp) { partition_ = hp; }
-
   /// Diagnoses one failure log (compacted or not). Thread-compatible per
-  /// instance (not thread-safe across concurrent calls).
+  /// instance (not thread-safe across concurrent calls). Throws
+  /// std::invalid_argument, before touching any state, when an entry names
+  /// a pattern, observation point, channel or cycle the design lacks.
   DiagnosisReport diagnose(const FailureLog& log);
+
+  /// Step 1 alone: the suspect gates diagnose() scores for `log`, in
+  /// scoring order. Validates `log` the same way.
+  std::vector<netlist::GateId> suspect_gates(const FailureLog& log);
 
   const DiagnoserOptions& options() const { return opts_; }
 
@@ -101,7 +99,7 @@ class Diagnoser {
     std::vector<std::size_t> touched_cells;
   };
 
-  std::vector<netlist::GateId> collect_suspect_gates(const FailureLog& log);
+  void check_log(const FailureLog& log) const;
   std::vector<Candidate> score_candidates(
       const FailureLog& log, const std::vector<netlist::GateId>& suspects);
   /// Scores one candidate site (all polarities) against obs_mask_. Returns
@@ -114,25 +112,25 @@ class Diagnoser {
                   netlist::SiteId site, Candidate& best,
                   Signature& best_sig) const;
   DiagnosisReport assemble_single(std::vector<Candidate> scored);
-  DiagnosisReport assemble_multifault(std::vector<Candidate> scored,
-                                      const FailureLog& log);
-
-  bool gate_in_cone_of_output(netlist::GateId g, std::uint32_t output) const;
+  DiagnosisReport assemble_multifault(std::vector<Candidate> scored);
 
   const Netlist* nl_;
   const SiteTable* sites_;
   ScanConfig scan_;
-  compress::ResponseCompactor compactor_;
   DiagnoserOptions opts_;
   FaultSimulator* fsim_ = nullptr;
-  const part::HierPartition* partition_ = nullptr;
   /// Simulator clones for parallel candidate scoring (lazily built from
   /// fsim_ on the first multi-threaded score pass; reset by bind()).
   std::unique_ptr<sim::SimulatorPool> pool_;
 
-  // cone_[o] is a bitset over gates: the fan-in cone of observation o.
-  std::size_t cone_words_ = 0;
-  std::vector<Word> cone_;
+  // Back-trace scratch, sized on the first diagnose(). mark_[g] == epoch_
+  // iff the current cone walk reached g; count_ is all-zero between
+  // requests (only the gates in touched_ are ever nonzero).
+  std::vector<std::uint32_t> mark_;
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> count_;
+  std::vector<netlist::GateId> touched_;
+  std::vector<netlist::GateId> walk_;
 
   // Scratch for signature matching.
   std::vector<Word> obs_mask_;       ///< Observed diff masks (per obs/cell).

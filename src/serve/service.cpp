@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <exception>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -60,11 +61,12 @@ std::uint64_t failure_log_fingerprint(const sim::FailureLog& log) {
   return h;
 }
 
-/// Stateful per-task diagnosis machinery. The Diagnoser mutates scratch
-/// buffers and its FaultSimulator's faulty-machine workspace during
-/// diagnose(), so contexts are never shared between concurrent tasks; the
-/// design's own shared simulator (design.fsim) is left untouched by the
-/// service.
+/// Stateful per-task diagnosis machinery: a simulator clone plus the
+/// Diagnoser's O(gates) scratch (it keeps no per-design index; the
+/// back-trace walks the shared netlist). The Diagnoser mutates that scratch
+/// and its FaultSimulator's faulty-machine workspace during diagnose(), so
+/// contexts are never shared between concurrent tasks; the design's own
+/// shared simulator (design.fsim) is left untouched by the service.
 struct DiagnosisService::WorkerContext {
   std::unique_ptr<sim::FaultSimulator> fsim;
   std::unique_ptr<diag::Diagnoser> diagnoser;
@@ -222,7 +224,14 @@ void DiagnosisService::process(Pending& p) {
       const eval::Design& d = *p.state->design;
       const clock::time_point t_diag0 = clock::now();
       std::unique_ptr<WorkerContext> ctx = acquire_context(*p.state);
-      r.atpg_report = ctx->diagnoser->diagnose(p.log);
+      try {
+        r.atpg_report = ctx->diagnoser->diagnose(p.log);
+      } catch (const std::invalid_argument&) {
+        // A malformed log is rejected before the Diagnoser touches any
+        // state, so the context stays reusable.
+        release_context(*p.state, std::move(ctx));
+        throw;
+      }
       release_context(*p.state, std::move(ctx));
       const clock::time_point t_diag1 = clock::now();
       if (want_exemplar) {

@@ -10,10 +10,14 @@
 #include "netlist/generators.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace m3dfl::diag {
 namespace {
 
+using netlist::GateId;
 using netlist::GeneratorParams;
 using netlist::SiteId;
 using sim::FaultPolarity;
@@ -197,7 +201,7 @@ TEST(Diagnoser, MultiFaultModeFindsAllInjected) {
   EXPECT_GE(all_found, tested / 2) << "multi-fault accuracy collapsed";
 }
 
-// Field-exact report equality: the partitioned / multi-threaded paths must
+// Field-exact report equality: the multi-threaded scoring path must
 // reproduce the sequential reports bit for bit.
 void expect_reports_identical(const DiagnosisReport& a,
                               const DiagnosisReport& b) {
@@ -216,19 +220,12 @@ void expect_reports_identical(const DiagnosisReport& a,
   }
 }
 
-TEST(Diagnoser, PartitionedAndParallelReportsBitIdentical) {
+TEST(Diagnoser, ParallelScoringReportsBitIdentical) {
   Fixture fx(93);
-  const part::HierPartition hp(fx.nl, fx.sites, {64});
-  ASSERT_GT(hp.num_regions(), 1u);
-
   Diagnoser base = fx.make_diagnoser();
   DiagnoserOptions par_opts;
   par_opts.num_threads = 4;
   Diagnoser parallel = fx.make_diagnoser(par_opts);
-  Diagnoser partitioned = fx.make_diagnoser();
-  partitioned.set_partition(&hp);
-  Diagnoser part_par = fx.make_diagnoser(par_opts);
-  part_par.set_partition(&hp);
 
   Rng rng(94);
   int tested = 0;
@@ -240,26 +237,21 @@ TEST(Diagnoser, PartitionedAndParallelReportsBitIdentical) {
       const sim::FailureLog log = fx.inject(f, compacted);
       if (log.empty()) continue;
       ++tested;
-      const DiagnosisReport want = base.diagnose(log);
-      expect_reports_identical(want, parallel.diagnose(log));
-      expect_reports_identical(want, partitioned.diagnose(log));
-      expect_reports_identical(want, part_par.diagnose(log));
+      expect_reports_identical(base.diagnose(log), parallel.diagnose(log));
     }
   }
   EXPECT_GE(tested, 8);
 }
 
-TEST(Diagnoser, MultiFaultPartitionedParallelBitIdentical) {
+TEST(Diagnoser, MultiFaultParallelScoringBitIdentical) {
   Fixture fx(95);
-  const part::HierPartition hp(fx.nl, fx.sites, {64});
   DiagnoserOptions opts;
   opts.multifault = true;
   opts.max_candidates = 64;
   Diagnoser base = fx.make_diagnoser(opts);
   DiagnoserOptions par_opts = opts;
   par_opts.num_threads = 4;
-  Diagnoser part_par = fx.make_diagnoser(par_opts);
-  part_par.set_partition(&hp);
+  Diagnoser parallel = fx.make_diagnoser(par_opts);
 
   Rng rng(96);
   int tested = 0;
@@ -276,9 +268,214 @@ TEST(Diagnoser, MultiFaultPartitionedParallelBitIdentical) {
                                                 fx.fsim.num_patterns());
     if (log.empty()) continue;
     ++tested;
-    expect_reports_identical(base.diagnose(log), part_par.diagnose(log));
+    expect_reports_identical(base.diagnose(log), parallel.diagnose(log));
   }
   EXPECT_GE(tested, 5);
+}
+
+// Brute-force back-trace reference: a dense fan-in-cone bitset per
+// observation point, and every gate tested against every (sub-sampled)
+// failing response. The engine walks only the failing cones; the two must
+// pick the same suspects in the same order, which makes the scored
+// candidates — and so the reports — identical.
+std::vector<GateId> reference_suspects(const Fixture& fx,
+                                       const DiagnoserOptions& opts,
+                                       const sim::FailureLog& log) {
+  const netlist::Netlist& nl = fx.nl;
+  const std::size_t n = nl.num_gates();
+  const std::size_t words = (n + sim::kWordBits - 1) / sim::kWordBits;
+  const auto outs = nl.outputs();
+  std::vector<sim::Word> cone(outs.size() * words, 0);
+  auto in_cone = [&](GateId g, std::uint32_t o) {
+    return (cone[o * words + g / sim::kWordBits] >> (g % sim::kWordBits)) & 1;
+  };
+  for (std::size_t o = 0; o < outs.size(); ++o) {
+    sim::Word* bits = cone.data() + o * words;
+    std::vector<GateId> stack = {outs[o]};
+    bits[outs[o] / sim::kWordBits] |= sim::Word{1} << (outs[o] % sim::kWordBits);
+    while (!stack.empty()) {
+      const GateId g = stack.back();
+      stack.pop_back();
+      for (GateId d : nl.gate(g).fanin) {
+        sim::Word& w = bits[d / sim::kWordBits];
+        const sim::Word m = sim::Word{1} << (d % sim::kWordBits);
+        if (!(w & m)) {
+          w |= m;
+          stack.push_back(d);
+        }
+      }
+    }
+  }
+
+  struct Response {
+    std::uint32_t pattern;
+    std::vector<std::uint32_t> outputs;
+  };
+  std::vector<Response> responses;
+  if (log.compacted) {
+    for (const auto& f : log.cfails) {
+      responses.push_back({f.pattern, fx.scan.outputs_of(f.channel, f.cycle)});
+    }
+  } else {
+    for (const auto& f : log.fails) responses.push_back({f.pattern, {f.output}});
+  }
+  constexpr std::size_t kMaxResponses = 384;
+  if (responses.size() > kMaxResponses) {
+    std::vector<Response> sampled;
+    const double stride = static_cast<double>(responses.size()) / kMaxResponses;
+    for (std::size_t i = 0; i < kMaxResponses; ++i) {
+      sampled.push_back(responses[static_cast<std::size_t>(i * stride)]);
+    }
+    responses = std::move(sampled);
+  }
+
+  const sim::TwoVectorResult& good = fx.fsim.good();
+  std::vector<std::uint32_t> count(n, 0);
+  for (const Response& r : responses) {
+    for (GateId g = 0; g < n; ++g) {
+      if (!opts.include_stuck_at &&
+          !((good.tr_word(g, r.pattern / sim::kWordBits) >>
+             (r.pattern % sim::kWordBits)) & 1)) {
+        continue;
+      }
+      for (std::uint32_t o : r.outputs) {
+        if (in_cone(g, o)) {
+          ++count[g];
+          break;
+        }
+      }
+    }
+  }
+
+  std::vector<GateId> suspects;
+  const auto all = static_cast<std::uint32_t>(responses.size());
+  if (!opts.multifault) {
+    const auto floor_count = std::max<std::uint32_t>(
+        1, static_cast<std::uint32_t>(opts.single_fault_relax * all));
+    for (GateId g = 0; g < n; ++g) {
+      if (count[g] >= floor_count) suspects.push_back(g);
+    }
+    if (suspects.empty()) {
+      const std::uint32_t best = *std::max_element(count.begin(), count.end());
+      for (GateId g = 0; g < n && best > 0; ++g) {
+        if (count[g] == best) suspects.push_back(g);
+      }
+    }
+  } else {
+    for (GateId g = 0; g < n; ++g) {
+      if (count[g] > 0) suspects.push_back(g);
+    }
+    std::stable_sort(suspects.begin(), suspects.end(),
+                     [&count](GateId a, GateId b) {
+                       return count[a] > count[b];
+                     });
+  }
+  if (suspects.size() > opts.max_suspects) suspects.resize(opts.max_suspects);
+  return suspects;
+}
+
+TEST(Diagnoser, ConeWalkMatchesDenseConeReference) {
+  Fixture fx(97, /*patterns=*/512);
+  Rng rng(98);
+  std::vector<sim::FailureLog> logs;
+  // Single-fault logs, bypass and compacted.
+  while (logs.size() < 12) {
+    const InjectedFault f{
+        static_cast<SiteId>(rng.next_below(fx.sites.size())),
+        FaultPolarity::kSlow};
+    for (bool compacted : {false, true}) {
+      sim::FailureLog log = fx.inject(f, compacted);
+      if (!log.empty()) logs.push_back(std::move(log));
+    }
+  }
+  // Multi-fault logs, bypass and compacted; the twelve-fault ones pass the
+  // 384-response sub-sampling threshold.
+  std::size_t largest = 0;
+  for (std::size_t k : {2, 3, 12, 12}) {
+    std::vector<InjectedFault> faults;
+    for (std::size_t i = 0; i < k; ++i) {
+      faults.push_back({static_cast<SiteId>(rng.next_below(fx.sites.size())),
+                        FaultPolarity::kSlow});
+    }
+    std::vector<sim::Word> diff;
+    if (!fx.fsim.observed_diff(faults, diff)) continue;
+    logs.push_back(sim::failure_log_from_diff(diff, fx.nl.num_outputs(),
+                                              fx.fsim.num_patterns()));
+    largest = std::max(largest, logs.back().size());
+    logs.push_back(compress::ResponseCompactor(fx.scan).failure_log_from_diff(
+        diff, fx.fsim.num_words(), fx.fsim.num_patterns()));
+  }
+  ASSERT_GT(largest, 384u) << "no log exercises response sub-sampling";
+  // Repeated entries: a tester datalog may list one miscompare twice.
+  for (std::size_t i = 0; i < 2; ++i) {
+    sim::FailureLog rep = logs[i];
+    if (rep.compacted) {
+      rep.cfails.push_back(rep.cfails.front());
+    } else {
+      rep.fails.insert(rep.fails.begin(), rep.fails.begin(),
+                       rep.fails.end());
+    }
+    logs.push_back(std::move(rep));
+  }
+
+  for (bool multifault : {false, true}) {
+    for (bool stuck_at : {false, true}) {
+      DiagnoserOptions opts;
+      opts.multifault = multifault;
+      opts.include_stuck_at = stuck_at;
+      Diagnoser diag = fx.make_diagnoser(opts);
+      for (std::size_t i = 0; i < logs.size(); ++i) {
+        EXPECT_EQ(diag.suspect_gates(logs[i]),
+                  reference_suspects(fx, opts, logs[i]))
+            << "log " << i << " multifault=" << multifault
+            << " stuck_at=" << stuck_at;
+      }
+    }
+  }
+}
+
+TEST(Diagnoser, OutOfRangeLogEntriesAreRejected) {
+  Fixture fx(99);
+  Diagnoser diag = fx.make_diagnoser();
+  const auto patterns = static_cast<std::uint32_t>(fx.fsim.num_patterns());
+  const auto outputs = static_cast<std::uint32_t>(fx.nl.num_outputs());
+  auto bypass = [](std::uint32_t pattern, std::uint32_t output) {
+    sim::FailureLog log;
+    log.fails = {{0, 0}, {pattern, output}};
+    return log;
+  };
+  auto compacted = [](std::uint32_t pattern, std::uint32_t channel,
+                      std::uint32_t cycle) {
+    sim::FailureLog log;
+    log.compacted = true;
+    log.cfails = {{0, 0, 0}, {pattern, channel, cycle}};
+    return log;
+  };
+  const std::pair<sim::FailureLog, const char*> bad[] = {
+      {bypass(0, outputs), "output"},
+      {bypass(0, 99999999), "output"},
+      {bypass(patterns, 0), "pattern"},
+      {compacted(patterns, 0, 0), "pattern"},
+      {compacted(0, fx.scan.num_channels, 0), "channel"},
+      {compacted(0, 0, fx.scan.chain_length), "cycle"},
+  };
+  for (const auto& [log, field] : bad) {
+    try {
+      diag.diagnose(log);
+      ADD_FAILURE() << "accepted a log with an out-of-range " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("entry 1"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The last in-range values are accepted, and a rejection leaves the
+  // engine usable.
+  EXPECT_NO_THROW(diag.diagnose(bypass(patterns - 1, outputs - 1)));
+  EXPECT_NO_THROW(diag.diagnose(compacted(patterns - 1,
+                                          fx.scan.num_channels - 1,
+                                          fx.scan.chain_length - 1)));
 }
 
 // --- Report metrics -----------------------------------------------------------

@@ -2,7 +2,8 @@
 // gates): generator smoke at 100K gates with rent-style fanout, partitioned
 // fault-dictionary campaigns bit-identical to unpartitioned ones across
 // backends and thread counts, out-of-core (spilled) lookups identical to
-// in-memory ones, and the datagen + partitioned-diagnosis flow end-to-end.
+// in-memory ones, the datagen + parallel-diagnosis flow end-to-end, and the
+// Diagnoser's per-design memory footprint.
 //
 // Everything heavier than the generator runs against one process-cached
 // m3d100k design, so the binary stays within the suite's slowest-test
@@ -11,15 +12,47 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "common/rng.h"
+#include "diagnosis/diagnoser.h"
 #include "diagnosis/dictionary.h"
 #include "eval/benchmarks.h"
 #include "eval/datagen.h"
 #include "obs/metrics.h"
 #include "partition/hier.h"
+
+// paper_scale_test is its own binary, so replacing the global allocator here
+// is safe. The byte counter lets DiagnoserFootprintIsPerGateScratchOnly
+// measure what a Diagnoser allocates instead of trusting its layout.
+namespace {
+std::atomic<std::size_t> g_alloc_bytes{0};
+}  // namespace
+
+// GCC pairs these malloc-backed replacements against allocation sites it
+// believes used the default allocator and warns spuriously; new and delete
+// are replaced together here, so the pairing is in fact consistent.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace m3dfl {
 namespace {
@@ -155,7 +188,7 @@ TEST(PaperScale, PartitionedCampaignsBitIdenticalAndOutOfCore) {
   }
 }
 
-TEST(PaperScale, DatagenAndPartitionedDiagnosisEndToEnd) {
+TEST(PaperScale, DatagenAndParallelDiagnosisEndToEnd) {
   eval::Design& d = design();
 
   eval::DatagenOptions dopts;
@@ -170,9 +203,8 @@ TEST(PaperScale, DatagenAndPartitionedDiagnosisEndToEnd) {
     EXPECT_GT(s.sub.num_nodes(), 0u);
   }
 
-  // Partition-aware parallel diagnosis is bit-identical to the sequential
+  // Multi-threaded candidate scoring is bit-identical to the sequential
   // engine at paper scale.
-  const part::HierPartition hp(d.nl, d.sites, {4096});
   diag::DiagnoserOptions seq_opts = d.spec.diag;
   seq_opts.num_threads = 1;
   diag::Diagnoser seq(d.nl, d.sites, d.scan, seq_opts);
@@ -181,7 +213,6 @@ TEST(PaperScale, DatagenAndPartitionedDiagnosisEndToEnd) {
   par_opts.num_threads = 8;
   diag::Diagnoser par(d.nl, d.sites, d.scan, par_opts);
   par.bind(*d.fsim);
-  par.set_partition(&hp);
 
   std::size_t nonempty = 0;
   for (const eval::Sample& s : ds.samples) {
@@ -198,6 +229,22 @@ TEST(PaperScale, DatagenAndPartitionedDiagnosisEndToEnd) {
     nonempty += !rs.candidates.empty();
   }
   EXPECT_GE(nonempty, 1u);
+}
+
+// A Diagnoser holds no per-design index: its back-trace walks the netlist's
+// own fan-in lists, so building one (once per serving worker) costs at most
+// a few bytes of scratch per gate — not a cone bitset per observation point.
+TEST(PaperScale, DiagnoserFootprintIsPerGateScratchOnly) {
+  eval::Design& d = design();
+  const std::size_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+  {
+    diag::Diagnoser diagnoser(d.nl, d.sites, d.scan, d.spec.diag);
+    diagnoser.bind(*d.fsim);
+  }
+  const std::size_t bytes =
+      g_alloc_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(bytes, 8 * d.nl.num_gates())
+      << bytes << " bytes for " << d.nl.num_gates() << " gates";
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "eval/datagen.h"
@@ -549,6 +551,50 @@ TEST(DiagnosisService, MissingModelFailsCleanly) {
       service.submit(*fx.design, fx.logs[0]).get();
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("no framework"), std::string::npos);
+}
+
+TEST(DiagnosisService, OutOfRangeLogFailsCleanly) {
+  ServedFixture fx(1);
+  serve::ModelRegistry registry;
+  registry.publish("default", fx.fw);
+  serve::ServiceOptions opts;
+  opts.num_threads = 2;
+  serve::DiagnosisService service(registry, opts);
+  service.register_design(*fx.design);
+
+  const eval::Design& d = *fx.design;
+  const auto patterns = static_cast<std::uint32_t>(d.fsim->num_patterns());
+  std::vector<std::pair<sim::FailureLog, std::string>> bad;
+  for (const auto& [pattern, output, field] :
+       {std::tuple{0u, 99999999u, "output"},
+        std::tuple{0u, static_cast<std::uint32_t>(d.nl.num_outputs()),
+                   "output"},
+        std::tuple{patterns, 0u, "pattern"}}) {
+    sim::FailureLog log;
+    log.fails = {{pattern, output}};
+    bad.emplace_back(std::move(log), field);
+  }
+  for (const auto& [pattern, channel, cycle, field] :
+       {std::tuple{patterns, 0u, 0u, "pattern"},
+        std::tuple{0u, d.scan.num_channels, 0u, "channel"},
+        std::tuple{0u, 0u, d.scan.chain_length, "cycle"}}) {
+    sim::FailureLog log;
+    log.compacted = true;
+    log.cfails = {{pattern, channel, cycle}};
+    bad.emplace_back(std::move(log), field);
+  }
+  for (const auto& [log, field] : bad) {
+    const serve::DiagnosisResponse r = service.submit(d, log).get();
+    EXPECT_FALSE(r.ok) << field;
+    EXPECT_NE(r.error.find(field), std::string::npos) << r.error;
+  }
+  // The rejected requests leave the service healthy.
+  const serve::DiagnosisResponse good = service.submit(d, fx.logs[0]).get();
+  EXPECT_TRUE(good.ok) << good.error;
+  expect_same_response(
+      good, serve::DiagnosisService::diagnose_direct(d, fx.fw, fx.logs[0]));
+  service.drain();
+  EXPECT_EQ(service.metrics().snapshot().errors, bad.size());
 }
 
 TEST(DiagnosisService, SplitsLatencyAndAssignsDistinctRequestIds) {

@@ -86,6 +86,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -418,7 +419,14 @@ int cmd_diagnose(const std::map<std::string, std::string>& flags) {
   if (!log) return kExitRuntime;
 
   diag::Diagnoser diagnoser = d.make_diagnoser();
-  const diag::DiagnosisReport report = diagnoser.diagnose(*log);
+  diag::DiagnosisReport report;
+  try {
+    report = diagnoser.diagnose(*log);
+  } catch (const std::invalid_argument& e) {
+    M3DFL_LOG_ERROR("cli", "bad failure log %s: %s",
+                    flags.at("faillog").c_str(), e.what());
+    return kExitRuntime;
+  }
   std::printf("ATPG diagnosis: %zu candidates in %.1f ms\n",
               report.resolution(), 1e3 * report.seconds);
 
