@@ -27,10 +27,17 @@ Netlist make_benchmark(std::uint64_t seed, std::uint32_t gates = 400) {
   return netlist::generate_netlist(p);
 }
 
+// gtest names each case from the raw bytes of its parameter, so the bytes
+// between `algo` and `seed` are a zeroed member rather than padding: padding
+// carried stack garbage (an ASLR-dependent pointer among it) into the ctest
+// names, which then changed from build to build.
 struct AlgoCase {
+  AlgoCase(PartitionAlgo a, std::uint64_t s) : algo(a), seed(s) {}
   PartitionAlgo algo;
+  std::uint8_t zero_fill[7] = {};
   std::uint64_t seed;
 };
+static_assert(sizeof(AlgoCase) == 16, "AlgoCase must have no padding bytes");
 
 class PartitionProperty : public ::testing::TestWithParam<AlgoCase> {};
 
