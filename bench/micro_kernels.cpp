@@ -1,6 +1,6 @@
 // google-benchmark micro-kernels for the library's hot paths: bit-parallel
 // logic simulation, event-driven fault simulation, heterogeneous-graph
-// construction, back-tracing, PODEM, and GNN inference.
+// construction, back-tracing, per-log diagnosis, PODEM, and GNN inference.
 
 #include <benchmark/benchmark.h>
 
@@ -148,6 +148,31 @@ void BM_BacktraceSubgraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BacktraceSubgraph);
+
+// One effect-cause diagnosis (cone back-trace, two-phase candidate scoring,
+// ranking) of a fixed aes Syn-2 failure log: bypass (compacted:0) and
+// through the XOR compactor (compacted:1).
+void BM_DiagnoseLog(benchmark::State& state) {
+  static const eval::Design& d =
+      eval::cached_design(eval::aes_spec(), eval::Config::kSyn2);
+  eval::DatagenOptions opts;
+  opts.num_samples = 1;
+  opts.seed = 7;
+  opts.compacted = state.range(0) != 0;
+  const eval::Dataset ds = eval::generate_dataset(d, opts);
+  if (ds.samples.empty()) {
+    state.SkipWithError("no detectable fault");
+    return;
+  }
+  const sim::FailureLog& log = ds.samples.front().log;
+  diag::Diagnoser diagnoser = d.make_diagnoser();
+  const HwCounters hw(state);
+  for (auto _ : state) {
+    const diag::DiagnosisReport report = diagnoser.diagnose(log);
+    benchmark::DoNotOptimize(report.candidates.data());
+  }
+}
+BENCHMARK(BM_DiagnoseLog)->ArgName("compacted")->Arg(0)->Arg(1);
 
 void BM_PodemGenerate(benchmark::State& state) {
   const eval::Design& d = fixture();

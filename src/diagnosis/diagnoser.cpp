@@ -207,31 +207,64 @@ std::vector<GateId> Diagnoser::suspect_gates(const FailureLog& log) {
   return suspects;
 }
 
+namespace {
+
+// The faulty machines simulated per candidate site, each with the report
+// polarities it scores, in report polarity order. STR and STF activate on
+// disjoint patterns, and kSlow on their union with the same late V1 value,
+// so on every pattern the kSlow machine equals whichever TDF polarity is
+// active there (or the good machine): one kSlow simulation, split by the
+// two activation masks, scores both. Stuck-at polarities have no union
+// machine and are simulated one by one.
+struct Machine {
+  FaultPolarity simulated;
+  std::span<const FaultPolarity> scores;
+};
+constexpr FaultPolarity kTdf[] = {FaultPolarity::kSlowToRise,
+                                  FaultPolarity::kSlowToFall};
+constexpr FaultPolarity kSa0[] = {FaultPolarity::kStuckAt0};
+constexpr FaultPolarity kSa1[] = {FaultPolarity::kStuckAt1};
+constexpr Machine kMachines[] = {{FaultPolarity::kSlow, kTdf},
+                                 {FaultPolarity::kStuckAt0, kSa0},
+                                 {FaultPolarity::kStuckAt1, kSa1}};
+constexpr std::size_t kMaxScored = std::size(kTdf);  // Per machine.
+
+}  // namespace
+
 std::vector<Candidate> Diagnoser::score_candidates(
     const FailureLog& log, const std::vector<GateId>& suspects) {
   const std::size_t W = fsim_->num_words();
 
   // Observed failure masks. Bypass mode: rows indexed by observation point;
   // compacted mode: rows indexed by compactor cell (channel * cycles + cyc).
+  // fail_patterns_ collects the failing patterns (F) for scoring phase 1,
+  // pass_patterns_ the rest for phase 2.
   const std::size_t num_rows =
       log.compacted
           ? static_cast<std::size_t>(scan_.num_channels) * scan_.chain_length
           : nl_->num_outputs();
   obs_mask_.assign(num_rows * W, 0);
+  fail_patterns_.assign(W, 0);
+  obs_total_fails_ = 0;
+  auto observe = [&](std::size_t row, std::uint32_t pattern) {
+    const Word bit = Word{1} << (pattern % kWordBits);
+    Word& w = obs_mask_[row * W + pattern / kWordBits];
+    obs_total_fails_ += (w & bit) == 0;  // A repeated entry counts once.
+    w |= bit;
+    fail_patterns_[pattern / kWordBits] |= bit;
+  };
   if (log.compacted) {
     for (const FailureLog::CObs& f : log.cfails) {
-      const std::size_t cell =
-          static_cast<std::size_t>(f.channel) * scan_.chain_length + f.cycle;
-      obs_mask_[cell * W + f.pattern / kWordBits] |=
-          Word{1} << (f.pattern % kWordBits);
+      observe(static_cast<std::size_t>(f.channel) * scan_.chain_length +
+                  f.cycle,
+              f.pattern);
     }
   } else {
-    for (const FailureLog::Obs& f : log.fails) {
-      obs_mask_[static_cast<std::size_t>(f.output) * W +
-                f.pattern / kWordBits] |= Word{1} << (f.pattern % kWordBits);
-    }
+    for (const FailureLog::Obs& f : log.fails) observe(f.output, f.pattern);
   }
-  obs_total_fails_ = log.size();
+  // Tail bits need no masking: activation masks never set them.
+  pass_patterns_.resize(W);
+  for (std::size_t w = 0; w < W; ++w) pass_patterns_[w] = ~fail_patterns_[w];
 
   // Candidate fault sites: stems of the suspects plus the branches they
   // drive. Deduplicated by construction (each site enumerated once).
@@ -253,18 +286,13 @@ std::vector<Candidate> Diagnoser::score_candidates(
   }
   static obs::Counter& scored_ctr =
       obs::MetricsRegistry::instance().counter("diag.sites_scored");
+  static obs::Counter& matched_ctr =
+      obs::MetricsRegistry::instance().counter("diag.sites_matched");
   scored_ctr.add(cand_sites.size());
 
   signatures_.clear();
   std::vector<Candidate> scored;
   scored.reserve(cand_sites.size());
-
-  std::vector<FaultPolarity> polarities = {FaultPolarity::kSlowToRise,
-                                           FaultPolarity::kSlowToFall};
-  if (opts_.include_stuck_at) {
-    polarities.push_back(FaultPolarity::kStuckAt0);
-    polarities.push_back(FaultPolarity::kStuckAt1);
-  }
 
   // Contiguous candidate chunks, merged back in chunk order, so the scored
   // sequence is identical at every thread count. The sequential pass is one
@@ -280,7 +308,7 @@ std::vector<Candidate> Diagnoser::score_candidates(
     for (netlist::SiteId site : chunk_sites) {
       Candidate best;
       Signature best_sig;
-      if (!score_site(sim, sc, log, num_rows, polarities, site, best,
+      if (!score_site(sim, sc, log.compacted, num_rows, site, best,
                       best_sig)) {
         continue;
       }
@@ -316,103 +344,113 @@ std::vector<Candidate> Diagnoser::score_candidates(
     for (Candidate& c : out.cands) scored.push_back(c);
     for (Signature& s : out.sigs) signatures_.push_back(std::move(s));
   }
+  // A site is kept iff one of its machines matched, i.e. reached phase 2.
+  matched_ctr.add(scored.size());
   return scored;
 }
 
 bool Diagnoser::score_site(FaultSimulator& sim, ScoreScratch& sc,
-                           const FailureLog& log, std::size_t num_rows,
-                           std::span<const FaultPolarity> polarities,
+                           bool compacted, std::size_t num_rows,
                            netlist::SiteId site, Candidate& best,
                            Signature& best_sig) const {
   const std::size_t W = sim.num_words();
   // Sparse compaction scratch: one row per compactor cell, kept all-zero
-  // between candidates (dirtied rows are wiped after each fold).
-  if (log.compacted && sc.cell_scratch.size() < num_rows * W) {
+  // between phases (dirtied rows are wiped after each fold).
+  if (compacted && sc.cell_scratch.size() < num_rows * W) {
     sc.cell_scratch.assign(num_rows * W, 0);
   }
-  for (FaultPolarity pol : polarities) {
-    const InjectedFault fault{site, pol};
-    if (!sim.observed_diff(fault, sc.pred_diff, &sc.pred_touched)) continue;
 
-    std::size_t matched = 0;
-    std::size_t mispred = 0;
-    Signature sig;
-    if (!log.compacted) {
-      for (std::uint32_t o : sc.pred_touched) {
-        const Word* p = sc.pred_diff.data() + static_cast<std::size_t>(o) * W;
-        const Word* ob = obs_mask_.data() + static_cast<std::size_t>(o) * W;
-        for (std::size_t w = 0; w < W; ++w) {
-          matched += static_cast<std::size_t>(std::popcount(p[w] & ob[w]));
-          mispred += static_cast<std::size_t>(std::popcount(p[w] & ~ob[w]));
-        }
-        if (opts_.multifault) {
-          for (std::size_t w = 0; w < W; ++w) {
-            Word m = p[w];
-            while (m) {
-              const int bit = std::countr_zero(m);
-              m &= m - 1;
-              sig.keys.push_back((static_cast<std::uint64_t>(o) << 32) |
-                                 (w * kWordBits + bit));
-            }
-          }
-        }
+  // Simulates `machine` with activation restricted to `patterns` and hands
+  // each predicted row to visit(row, diff): observation points in bypass
+  // mode; compactor cells in compacted mode, folded per phase (the XOR
+  // compactor folds pattern by pattern, so folding each phase on its own
+  // gives the full fold's bits on that phase's patterns).
+  auto run_phase = [&](FaultPolarity machine, const std::vector<Word>& patterns,
+                       auto&& visit) {
+    sim.observed_diff(InjectedFault{site, machine}, patterns, sc.pred_diff,
+                      sc.pred_touched);
+    if (!compacted) {
+      for (std::size_t i = 0; i < sc.pred_touched.size(); ++i) {
+        visit(sc.pred_touched[i], sc.pred_diff.data() + i * W);
       }
-    } else {
-      // Fold predicted diffs through the XOR compactor, sparsely.
-      sc.touched_cells.clear();
-      for (std::uint32_t o : sc.pred_touched) {
-        const std::size_t cell =
-            static_cast<std::size_t>(scan_.channel_of(o)) *
-                scan_.chain_length +
-            scan_.position_of(o);
-        const Word* p = sc.pred_diff.data() + static_cast<std::size_t>(o) * W;
-        Word any = 0;
-        for (std::size_t w = 0; w < W; ++w) {
-          sc.cell_scratch[cell * W + w] ^= p[w];
-          any |= p[w];
-        }
-        if (any) sc.touched_cells.push_back(cell);
-      }
-      std::sort(sc.touched_cells.begin(), sc.touched_cells.end());
-      sc.touched_cells.erase(
-          std::unique(sc.touched_cells.begin(), sc.touched_cells.end()),
-          sc.touched_cells.end());
-      for (std::size_t cell : sc.touched_cells) {
-        const Word* p = sc.cell_scratch.data() + cell * W;
-        const Word* ob = obs_mask_.data() + cell * W;
-        for (std::size_t w = 0; w < W; ++w) {
-          matched += static_cast<std::size_t>(std::popcount(p[w] & ob[w]));
-          mispred += static_cast<std::size_t>(std::popcount(p[w] & ~ob[w]));
-        }
-        if (opts_.multifault) {
-          for (std::size_t w = 0; w < W; ++w) {
-            Word m = p[w];
-            while (m) {
-              const int bit = std::countr_zero(m);
-              m &= m - 1;
-              sig.keys.push_back((static_cast<std::uint64_t>(cell) << 32) |
-                                 (w * kWordBits + bit));
-            }
-          }
-        }
-      }
-      // Clear the scratch rows we dirtied.
-      for (std::size_t cell : sc.touched_cells) {
-        std::fill_n(sc.cell_scratch.begin() + cell * W, W, Word{0});
-      }
+      return;
     }
-    if (matched == 0) continue;
-    const std::size_t missed = obs_total_fails_ - matched;
-    const double denom = static_cast<double>(matched + mispred + missed);
-    const double score = denom > 0 ? static_cast<double>(matched) / denom : 0;
-    if (score > best.score) {
-      best.site = site;
-      best.polarity = pol;
-      best.score = score;
-      best.matched = static_cast<std::uint32_t>(matched);
-      best.mispredicted = static_cast<std::uint32_t>(mispred);
-      best.missed = static_cast<std::uint32_t>(missed);
-      best_sig = std::move(sig);
+    sc.touched_cells.clear();
+    for (std::size_t i = 0; i < sc.pred_touched.size(); ++i) {
+      const std::uint32_t o = sc.pred_touched[i];
+      const std::size_t cell =
+          static_cast<std::size_t>(scan_.channel_of(o)) * scan_.chain_length +
+          scan_.position_of(o);
+      const Word* p = sc.pred_diff.data() + i * W;
+      for (std::size_t w = 0; w < W; ++w) sc.cell_scratch[cell * W + w] ^= p[w];
+      sc.touched_cells.push_back(cell);
+    }
+    std::sort(sc.touched_cells.begin(), sc.touched_cells.end());
+    sc.touched_cells.erase(
+        std::unique(sc.touched_cells.begin(), sc.touched_cells.end()),
+        sc.touched_cells.end());
+    for (std::size_t cell : sc.touched_cells) {
+      visit(cell, sc.cell_scratch.data() + cell * W);
+    }
+    for (std::size_t cell : sc.touched_cells) {
+      std::fill_n(sc.cell_scratch.begin() + cell * W, W, Word{0});
+    }
+  };
+
+  const std::span<const Machine> machines(kMachines,
+                                          opts_.include_stuck_at ? 3 : 1);
+  for (const Machine& m : machines) {
+    const std::size_t n = m.scores.size();
+    sc.pol_masks.resize(n * W);
+    for (std::size_t k = 0; k < n; ++k) {
+      sim.activation_mask(InjectedFault{site, m.scores[k]},
+                          std::span<Word>(sc.pol_masks.data() + k * W, W));
+    }
+    std::size_t matched[kMaxScored] = {};
+    std::size_t mispred[kMaxScored] = {};
+    Signature sigs[kMaxScored];
+    // Splits a predicted row by polarity. Observed fails sit on F only, so
+    // phase 2 rows add to mispred alone.
+    auto tally = [&](std::size_t row, const Word* p) {
+      const Word* ob = obs_mask_.data() + row * W;
+      for (std::size_t k = 0; k < n; ++k) {
+        const Word* act = sc.pol_masks.data() + k * W;
+        for (std::size_t w = 0; w < W; ++w) {
+          Word d = p[w] & act[w];
+          matched[k] += static_cast<std::size_t>(std::popcount(d & ob[w]));
+          mispred[k] += static_cast<std::size_t>(std::popcount(d & ~ob[w]));
+          if (!opts_.multifault) continue;
+          while (d) {
+            const int bit = std::countr_zero(d);
+            d &= d - 1;
+            sigs[k].keys.push_back((static_cast<std::uint64_t>(row) << 32) |
+                                   (w * kWordBits + bit));
+          }
+        }
+      }
+    };
+    // Phase 1 (failing patterns) fixes every polarity's matched count; a
+    // machine none of whose polarities matched is done.
+    run_phase(m.simulated, fail_patterns_, tally);
+    if (*std::max_element(matched, matched + n) == 0) continue;
+    // Phase 2 (passing patterns): every predicted bit is a misprediction.
+    run_phase(m.simulated, pass_patterns_, tally);
+    for (std::size_t k = 0; k < n; ++k) {
+      if (matched[k] == 0) continue;
+      const std::size_t missed = obs_total_fails_ - matched[k];
+      const double denom =
+          static_cast<double>(matched[k] + mispred[k] + missed);
+      const double score =
+          denom > 0 ? static_cast<double>(matched[k]) / denom : 0;
+      if (score > best.score) {
+        best.site = site;
+        best.polarity = m.scores[k];
+        best.score = score;
+        best.matched = static_cast<std::uint32_t>(matched[k]);
+        best.mispredicted = static_cast<std::uint32_t>(mispred[k]);
+        best.missed = static_cast<std::uint32_t>(missed);
+        best_sig = std::move(sigs[k]);
+      }
     }
   }
   if (best.site == netlist::kNoSite) return false;

@@ -62,9 +62,11 @@ struct DiagnoserOptions {
 ///     per distinct failing observation-point set, so the engine keeps no
 ///     per-design cone index — only O(gates) scratch;
 ///  2. candidate enumeration: stem and branch fault sites over the suspects;
-///  3. per-candidate TDF fault simulation (both polarities) and signature
-///     matching against the observed failure log — at the observation-point
-///     level in bypass mode, at the (channel, cycle) level with compaction;
+///  3. per-candidate TDF fault simulation and signature matching against
+///     the observed failure log — at the observation-point level in bypass
+///     mode, at the (channel, cycle) level with compaction. One kSlow
+///     machine scores both TDF polarities; it runs on the failing patterns
+///     first and on the passing ones only for sites that matched;
 ///  4. ranking by match score and report assembly.
 class Diagnoser {
  public:
@@ -93,8 +95,9 @@ class Diagnoser {
   };
   // Per-worker scratch for signature matching (one per scoring shard).
   struct ScoreScratch {
-    std::vector<Word> pred_diff;
+    std::vector<Word> pred_diff;  ///< Packed rows, one per pred_touched.
     std::vector<std::uint32_t> pred_touched;
+    std::vector<Word> pol_masks;  ///< Activation mask per scored polarity.
     std::vector<Word> cell_scratch;
     std::vector<std::size_t> touched_cells;
   };
@@ -102,14 +105,14 @@ class Diagnoser {
   void check_log(const FailureLog& log) const;
   std::vector<Candidate> score_candidates(
       const FailureLog& log, const std::vector<netlist::GateId>& suspects);
-  /// Scores one candidate site (all polarities) against obs_mask_. Returns
-  /// false when no polarity produced a match. Reads only immutable state
-  /// plus obs_mask_/obs_total_fails_, so shards may run it concurrently
-  /// with private simulators and scratch.
-  bool score_site(FaultSimulator& sim, ScoreScratch& sc,
-                  const FailureLog& log, std::size_t num_rows,
-                  std::span<const FaultPolarity> polarities,
-                  netlist::SiteId site, Candidate& best,
+  /// Scores one candidate site (all polarities) against obs_mask_ in two
+  /// exact phases: each faulty machine is simulated on the failing
+  /// patterns, and on the passing patterns only if one of its polarities
+  /// matched. Returns false when no polarity produced a match. Reads only
+  /// immutable state plus the per-log masks, so shards may run it
+  /// concurrently with private simulators and scratch.
+  bool score_site(FaultSimulator& sim, ScoreScratch& sc, bool compacted,
+                  std::size_t num_rows, netlist::SiteId site, Candidate& best,
                   Signature& best_sig) const;
   DiagnosisReport assemble_single(std::vector<Candidate> scored);
   DiagnosisReport assemble_multifault(std::vector<Candidate> scored);
@@ -135,6 +138,8 @@ class Diagnoser {
   // Scratch for signature matching.
   std::vector<Word> obs_mask_;       ///< Observed diff masks (per obs/cell).
   std::size_t obs_total_fails_ = 0;  ///< Popcount of obs_mask_.
+  std::vector<Word> fail_patterns_;  ///< Patterns with an observed fail.
+  std::vector<Word> pass_patterns_;  ///< ~fail_patterns_.
   ScoreScratch scratch_;             ///< Sequential-path scoring scratch.
 
   std::vector<Signature> signatures_;

@@ -11,13 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "common/executor.h"
 #include "core/policy.h"
 #include "eval/benchmarks.h"
 #include "eval/experiments.h"
 #include "graphx/subgraph.h"
 #include "serve/batcher.h"
 #include "serve/cache.h"
-#include "serve/executor.h"
 #include "serve/metrics.h"
 #include "serve/model_registry.h"
 #include "sim/failure_log.h"

@@ -175,6 +175,13 @@ std::vector<Word> FaultSimulator::activation_mask(
   return act;
 }
 
+void FaultSimulator::activation_mask(const InjectedFault& fault,
+                                     std::span<Word> act) const {
+  ensure_bound();
+  assert(act.size() == good_.num_words);
+  compute_activation(fault, act.data());
+}
+
 bool FaultSimulator::observed_diff(const InjectedFault& fault,
                                    std::vector<Word>& diff,
                                    std::vector<std::uint32_t>* touched_outputs) {
@@ -185,7 +192,17 @@ bool FaultSimulator::observed_diff(const InjectedFault& fault,
 bool FaultSimulator::observed_diff(std::span<const InjectedFault> faults,
                                    std::vector<Word>& diff,
                                    std::vector<std::uint32_t>* touched_outputs) {
-  return run_faulty(faults, &diff, touched_outputs, /*early_exit=*/false);
+  return run_faulty(faults, nullptr, &diff, touched_outputs, /*sparse=*/false,
+                    /*early_exit=*/false);
+}
+
+bool FaultSimulator::observed_diff(
+    const InjectedFault& fault, std::span<const Word> patterns,
+    std::vector<Word>& diff, std::vector<std::uint32_t>& touched_outputs) {
+  assert(patterns.size() == good_.num_words);
+  return run_faulty(std::span<const InjectedFault>(&fault, 1), patterns.data(),
+                    &diff, &touched_outputs, /*sparse=*/true,
+                    /*early_exit=*/false);
 }
 
 bool FaultSimulator::detects(const InjectedFault& fault) {
@@ -193,18 +210,22 @@ bool FaultSimulator::detects(const InjectedFault& fault) {
 }
 
 bool FaultSimulator::detects(std::span<const InjectedFault> faults) {
-  return run_faulty(faults, nullptr, nullptr, /*early_exit=*/true);
+  return run_faulty(faults, nullptr, nullptr, nullptr, /*sparse=*/false,
+                    /*early_exit=*/true);
 }
 
 bool FaultSimulator::run_faulty(std::span<const InjectedFault> faults,
-                                std::vector<Word>* diff,
+                                const Word* patterns, std::vector<Word>* diff,
                                 std::vector<std::uint32_t>* touched_outputs,
-                                bool early_exit) {
+                                bool sparse, bool early_exit) {
   ensure_bound();
   ++stats_.observed_diff_calls;
   const std::size_t W = good_.num_words;
-  const std::size_t num_outputs = nl_->num_outputs();
-  if (diff) diff->assign(num_outputs * W, 0);
+  if (diff && sparse) {
+    diff->clear();
+  } else if (diff) {
+    diff->assign(nl_->num_outputs() * W, 0);
+  }
   touched_.clear();
   next_epoch();
   if (touched_outputs) touched_outputs->clear();
@@ -263,7 +284,11 @@ bool FaultSimulator::run_faulty(std::span<const InjectedFault> faults,
     }
     compute_activation(f, act_.data());
     Word any = 0;
-    for (std::size_t w = 0; w < W; ++w) any |= act_[w];
+    for (std::size_t w = 0; w < W; ++w) {
+      // Masked-off patterns never activate, so they simulate fault-free.
+      if (patterns) act_[w] &= patterns[w];
+      any |= act_[w];
+    }
     if (any == 0) continue;
 
     // Faulty value of the signal at the site. TDF: the late V1 value where
@@ -360,20 +385,29 @@ bool FaultSimulator::run_faulty(std::span<const InjectedFault> faults,
 
   // Collect observation diffs and restore the workspace. touched_ is
   // duplicate-free (epoch stamps), so each gate is restored exactly once and
-  // touched_outputs never repeats an observation index.
+  // touched_outputs never repeats an observation index. Sparse output
+  // appends each row and drops it again when it is all zero.
   bool any_fail = detected_early;
   for (GateId g : touched_) {
     if (diff) {
       for (std::uint32_t o : obs_of_gate_[g]) {
-        if (touched_outputs) touched_outputs->push_back(o);
-        Word* drow = diff->data() + static_cast<std::size_t>(o) * W;
+        if (sparse) diff->resize(diff->size() + W);
+        Word* drow = sparse ? diff->data() + diff->size() - W
+                            : diff->data() + static_cast<std::size_t>(o) * W;
         const Word* frow = faulty_row(g);
         const Word* grow = good_row(g);
+        Word row_any = 0;
         for (std::size_t w = 0; w < W; ++w) {
           Word d = frow[w] ^ grow[w];
           if (w + 1 == W) d &= tail_;
           drow[w] = d;
-          any_fail |= d != 0;
+          row_any |= d;
+        }
+        any_fail |= row_any != 0;
+        if (sparse && row_any == 0) {
+          diff->resize(diff->size() - W);
+        } else if (touched_outputs) {
+          touched_outputs->push_back(o);
         }
       }
     }

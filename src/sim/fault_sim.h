@@ -120,6 +120,16 @@ class FaultSimulator {
   bool observed_diff(const InjectedFault& fault, std::vector<Word>& diff,
                      std::vector<std::uint32_t>* touched_outputs = nullptr);
 
+  /// Pattern-restricted, sparse variant for signature matching: the fault
+  /// activates only on the patterns set in `patterns` (num_words() words),
+  /// so every other pattern simulates fault-free. `touched_outputs`
+  /// receives the observation points with a nonzero diff and `diff` their
+  /// rows, packed in the same order (row i belongs to touched_outputs[i]).
+  /// Nothing is zeroed per call, so the cost is the faulty cone's alone.
+  bool observed_diff(const InjectedFault& fault, std::span<const Word> patterns,
+                     std::vector<Word>& diff,
+                     std::vector<std::uint32_t>& touched_outputs);
+
   /// Detect-only fast path: returns observed_diff(faults, ...)'s boolean
   /// without materializing the diff, stopping propagation as soon as any
   /// observed output differs on a valid pattern. The workspace is fully
@@ -133,6 +143,9 @@ class FaultSimulator {
   /// Activation mask of a fault under the bound patterns: bit p set iff
   /// pattern p launches the matching transition through the fault site.
   std::vector<Word> activation_mask(const InjectedFault& fault) const;
+
+  /// Allocation-free form: writes the num_words() mask words into `act`.
+  void activation_mask(const InjectedFault& fault, std::span<Word> act) const;
 
   /// True if the gate lies in the input cone of at least one observed
   /// output — i.e. a fault effect entering at this gate can be seen at all.
@@ -183,12 +196,15 @@ class FaultSimulator {
   /// Writes the (tail-masked) activation mask of `fault` into act[0..W).
   void compute_activation(const InjectedFault& fault, Word* act) const;
 
-  /// Shared engine behind observed_diff() and detects(). `diff` may be null
-  /// (detect-only); `early_exit` stops propagation at the first observed
+  /// Shared engine behind observed_diff() and detects(). `patterns` (null =
+  /// all) restricts activation; `diff` may be null (detect-only), and
+  /// `sparse` selects the packed-row output of the pattern-restricted
+  /// observed_diff(); `early_exit` stops propagation at the first observed
   /// miscompare. Always restores the workspace before returning.
-  bool run_faulty(std::span<const InjectedFault> faults,
+  bool run_faulty(std::span<const InjectedFault> faults, const Word* patterns,
                   std::vector<Word>* diff,
-                  std::vector<std::uint32_t>* touched_outputs, bool early_exit);
+                  std::vector<std::uint32_t>* touched_outputs, bool sparse,
+                  bool early_exit);
 
   /// Advances the touched-gate epoch, resetting the stamp array on wrap.
   void next_epoch();

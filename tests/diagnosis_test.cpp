@@ -10,6 +10,7 @@
 #include "netlist/generators.h"
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -476,6 +477,195 @@ TEST(Diagnoser, OutOfRangeLogEntriesAreRejected) {
   EXPECT_NO_THROW(diag.diagnose(compacted(patterns - 1,
                                           fx.scan.num_channels - 1,
                                           fx.scan.chain_length - 1)));
+}
+
+// Full-simulation scoring reference: every (site, polarity) of the scored
+// sites is fault-simulated on all patterns with the public observed_diff(),
+// folded through the XOR compactor for compacted logs, and scored by Jaccard
+// against the deduplicated observed (row, pattern) set. The engine's
+// two-phase kSlow scoring must reproduce it exactly.
+std::vector<Candidate> reference_scores(Fixture& fx, Diagnoser& diag,
+                                        const DiagnoserOptions& opts,
+                                        const sim::FailureLog& log) {
+  using Key = std::pair<std::uint32_t, std::uint32_t>;  // (row, pattern)
+  std::set<Key> observed;
+  if (log.compacted) {
+    for (const auto& f : log.cfails) {
+      observed.insert({f.channel * fx.scan.chain_length + f.cycle, f.pattern});
+    }
+  } else {
+    for (const auto& f : log.fails) observed.insert({f.output, f.pattern});
+  }
+
+  std::vector<SiteId> sites;
+  for (GateId d : diag.suspect_gates(log)) {
+    sites.push_back(fx.sites.stem_of(d));
+    for (GateId g : fx.nl.gate(d).fanout) {
+      const auto& fanin = fx.nl.gate(g).fanin;
+      for (std::size_t k = 0; k < fanin.size(); ++k) {
+        if (fanin[k] == d) {
+          sites.push_back(fx.sites.branch_of(g, static_cast<int>(k)));
+        }
+      }
+    }
+  }
+  if (sites.size() > opts.max_suspects) sites.resize(opts.max_suspects);
+
+  std::vector<FaultPolarity> polarities = {FaultPolarity::kSlowToRise,
+                                           FaultPolarity::kSlowToFall};
+  if (opts.include_stuck_at) {
+    polarities.push_back(FaultPolarity::kStuckAt0);
+    polarities.push_back(FaultPolarity::kStuckAt1);
+  }
+  const std::size_t W = fx.fsim.num_words();
+  std::vector<Candidate> scored;
+  std::vector<sim::Word> diff;
+  for (SiteId site : sites) {
+    Candidate best;
+    for (FaultPolarity pol : polarities) {
+      fx.fsim.observed_diff(InjectedFault{site, pol}, diff);
+      std::set<Key> predicted;
+      for (std::uint32_t o = 0; o < fx.nl.num_outputs(); ++o) {
+        for (std::uint32_t p = 0; p < fx.fsim.num_patterns(); ++p) {
+          if (!((diff[o * W + p / sim::kWordBits] >> (p % sim::kWordBits)) &
+                1)) {
+            continue;
+          }
+          if (!log.compacted) {
+            predicted.insert({o, p});
+            continue;
+          }
+          const Key cell{fx.scan.channel_of(o) * fx.scan.chain_length +
+                             fx.scan.position_of(o),
+                         p};
+          if (!predicted.insert(cell).second) predicted.erase(cell);  // XOR
+        }
+      }
+      std::size_t matched = 0;
+      for (const Key& k : predicted) matched += observed.count(k);
+      if (matched == 0) continue;
+      const std::size_t mispred = predicted.size() - matched;
+      const std::size_t missed = observed.size() - matched;
+      const double score = static_cast<double>(matched) /
+                           static_cast<double>(matched + mispred + missed);
+      if (score > best.score) {
+        best.site = site;
+        best.polarity = pol;
+        best.score = score;
+        best.matched = static_cast<std::uint32_t>(matched);
+        best.mispredicted = static_cast<std::uint32_t>(mispred);
+        best.missed = static_cast<std::uint32_t>(missed);
+      }
+    }
+    if (best.site == netlist::kNoSite) continue;
+    best.tier = fx.sites.tier_of(site, fx.nl);
+    best.is_miv = fx.sites.is_miv_site(site, fx.nl);
+    scored.push_back(best);
+  }
+  // The single-fault report order with no candidate cut.
+  std::sort(scored.begin(), scored.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.matched != b.matched) return a.matched > b.matched;
+              return a.site < b.site;
+            });
+  return scored;
+}
+
+TEST(Diagnoser, TwoPhaseScoringMatchesFullSimulationReference) {
+  Fixture fx(103, /*patterns=*/200);  // A partial tail word.
+  Rng rng(104);
+  std::vector<sim::FailureLog> logs;
+  const FaultPolarity kinds[] = {FaultPolarity::kSlowToRise,
+                                 FaultPolarity::kSlowToFall,
+                                 FaultPolarity::kStuckAt0,
+                                 FaultPolarity::kStuckAt1};
+  for (std::size_t i = 0; logs.size() < 16; ++i) {
+    const InjectedFault f{static_cast<SiteId>(rng.next_below(fx.sites.size())),
+                          kinds[i % 4]};
+    for (bool compacted : {false, true}) {
+      sim::FailureLog log = fx.inject(f, compacted);
+      if (!log.empty()) logs.push_back(std::move(log));
+    }
+  }
+  // Twelve-fault logs pass the 384-response sub-sampling threshold.
+  std::size_t largest = 0;
+  for (int trial = 0; trial < 20 && largest <= 384; ++trial) {
+    std::vector<InjectedFault> faults;
+    for (std::size_t i = 0; i < 12; ++i) {
+      faults.push_back({static_cast<SiteId>(rng.next_below(fx.sites.size())),
+                        FaultPolarity::kSlow});
+    }
+    std::vector<sim::Word> diff;
+    if (!fx.fsim.observed_diff(faults, diff)) continue;
+    logs.push_back(sim::failure_log_from_diff(diff, fx.nl.num_outputs(),
+                                              fx.fsim.num_patterns()));
+    largest = std::max(largest, logs.back().size());
+    logs.push_back(compress::ResponseCompactor(fx.scan).failure_log_from_diff(
+        diff, fx.fsim.num_words(), fx.fsim.num_patterns()));
+  }
+  ASSERT_GT(largest, 384u) << "no log exercises response sub-sampling";
+  // Repeated entries, which the reference counts once.
+  for (std::size_t i = 0; i < 2; ++i) {
+    sim::FailureLog rep = logs[i];
+    if (rep.compacted) {
+      rep.cfails.push_back(rep.cfails.back());
+    } else {
+      rep.fails.push_back(rep.fails.back());
+    }
+    logs.push_back(std::move(rep));
+  }
+
+  std::size_t compared = 0;
+  for (bool stuck_at : {false, true}) {
+    for (std::size_t threads : {1, 4}) {
+      DiagnoserOptions opts;
+      opts.keep_score_ratio = 0;
+      opts.min_score = 0;
+      opts.max_candidates = 1u << 30;  // The report is every scored site.
+      opts.include_stuck_at = stuck_at;
+      opts.num_threads = threads;
+      Diagnoser diag = fx.make_diagnoser(opts);
+      for (std::size_t i = 0; i < logs.size(); ++i) {
+        SCOPED_TRACE("log " + std::to_string(i) +
+                     " stuck_at=" + std::to_string(stuck_at) +
+                     " threads=" + std::to_string(threads));
+        DiagnosisReport want;
+        want.candidates = reference_scores(fx, diag, opts, logs[i]);
+        compared += want.candidates.size();
+        expect_reports_identical(diag.diagnose(logs[i]), want);
+      }
+    }
+  }
+  EXPECT_GT(compared, 200u);
+}
+
+TEST(Diagnoser, RepeatedLogEntryLeavesReportUnchanged) {
+  Fixture fx(105);
+  // Suspect gathering counts a repeated entry per repeat; with the strict
+  // intersection the suspects stay the same, so this isolates scoring.
+  DiagnoserOptions opts;
+  opts.single_fault_relax = 1.0;
+  Diagnoser diag = fx.make_diagnoser(opts);
+  Rng rng(106);
+  int tested = 0;
+  for (int trial = 0; trial < 40 && tested < 12; ++trial) {
+    const InjectedFault f{static_cast<SiteId>(rng.next_below(fx.sites.size())),
+                          FaultPolarity::kSlow};
+    for (bool compacted : {false, true}) {
+      const sim::FailureLog log = fx.inject(f, compacted);
+      if (log.empty()) continue;
+      sim::FailureLog rep = log;
+      if (compacted) {
+        rep.cfails.push_back(rep.cfails.front());
+      } else {
+        rep.fails.push_back(rep.fails.front());
+      }
+      ASSERT_EQ(diag.suspect_gates(rep), diag.suspect_gates(log));
+      ++tested;
+      expect_reports_identical(diag.diagnose(rep), diag.diagnose(log));
+    }
+  }
+  EXPECT_GE(tested, 8);
 }
 
 // --- Report metrics -----------------------------------------------------------

@@ -23,6 +23,8 @@
 #include <thread>
 #include <vector>
 
+#include "eval/benchmarks.h"
+#include "eval/datagen.h"
 #include "eval/experiments.h"
 #include "obs/exemplar.h"
 #include "obs/httpd.h"
@@ -180,6 +182,14 @@ TEST(AdminHttp, MetricsServesConformantPrometheusText) {
   obs::MetricsRegistry::instance()
       .histogram("httpd_test.latency_seconds")
       .record(1e-3);
+  // One real diagnosis publishes the Diagnoser's work counters.
+  const eval::Design& design =
+      eval::cached_design(eval::tiny_spec(), eval::Config::kSyn2);
+  eval::DatagenOptions gen;
+  gen.num_samples = 1;
+  const eval::Dataset ds = eval::generate_dataset(design, gen);
+  ASSERT_FALSE(ds.samples.empty());
+  design.make_diagnoser().diagnose(ds.samples.front().log);
 
   AdminFixture fx;
   const HttpReply r = http_get(fx.server.port(), "/metrics");
@@ -191,6 +201,11 @@ TEST(AdminHttp, MetricsServesConformantPrometheusText) {
             std::string::npos);
   EXPECT_NE(r.body.find("m3dfl_httpd_test_latency_seconds_bucket"),
             std::string::npos);
+  for (const char* name :
+       {"m3dfl_diag_backtrace_gates_total", "m3dfl_diag_sites_scored_total",
+        "m3dfl_diag_sites_matched_total"}) {
+    EXPECT_NE(r.body.find(name), std::string::npos) << name;
+  }
   const std::vector<std::string> violations = obs::prometheus_lint(r.body);
   EXPECT_TRUE(violations.empty())
       << "first violation: " << (violations.empty() ? "" : violations[0]);

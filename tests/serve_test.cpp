@@ -17,13 +17,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/executor.h"
 #include "eval/datagen.h"
 #include "obs/exemplar.h"
 #include "eval/experiments.h"
 #include "eval/framework_io.h"
 #include "serve/batcher.h"
 #include "serve/cache.h"
-#include "serve/executor.h"
 #include "serve/metrics.h"
 #include "serve/model_registry.h"
 #include "serve/service.h"
@@ -36,7 +36,7 @@ using namespace std::chrono_literals;
 // --- Executor ----------------------------------------------------------------
 
 TEST(Executor, RunsTasksAndReturnsResults) {
-  serve::Executor pool(4);
+  Executor pool(4);
   std::vector<std::future<int>> futures;
   for (int i = 0; i < 32; ++i) {
     futures.push_back(pool.submit([i] { return i * i; }));
@@ -47,7 +47,7 @@ TEST(Executor, RunsTasksAndReturnsResults) {
 }
 
 TEST(Executor, PropagatesExceptionsThroughFutures) {
-  serve::Executor pool(2);
+  Executor pool(2);
   auto bad = pool.submit([]() -> int { throw std::runtime_error("boom"); });
   auto good = pool.submit([] { return 7; });
   EXPECT_THROW(bad.get(), std::runtime_error);
@@ -55,7 +55,7 @@ TEST(Executor, PropagatesExceptionsThroughFutures) {
 }
 
 TEST(Executor, RunsTasksConcurrently) {
-  serve::Executor pool(4);
+  Executor pool(4);
   std::atomic<int> active{0};
   std::atomic<int> max_active{0};
   std::vector<std::future<void>> futures;
@@ -76,7 +76,7 @@ TEST(Executor, RunsTasksConcurrently) {
 TEST(Executor, DestructorDrainsQueuedTasks) {
   std::atomic<int> ran{0};
   {
-    serve::Executor pool(1);
+    Executor pool(1);
     for (int i = 0; i < 16; ++i) {
       pool.post([&ran] { ++ran; });
     }
@@ -85,7 +85,7 @@ TEST(Executor, DestructorDrainsQueuedTasks) {
 }
 
 TEST(Executor, WaitIdleBlocksUntilQueueEmpty) {
-  serve::Executor pool(2);
+  Executor pool(2);
   std::atomic<int> ran{0};
   for (int i = 0; i < 8; ++i) {
     pool.post([&ran] {
@@ -364,6 +364,12 @@ TEST(ModelRegistry, HotSwapUnderConcurrentLoadIsAlwaysCoherent) {
         ++reads;
       }
     });
+  }
+  // Swap only once the readers are reading (bounded wait), so the swaps
+  // race real reads: on a loaded host the publisher could otherwise finish
+  // all swaps before any reader ran.
+  for (int i = 0; i < 100000 && reads.load() == 0; ++i) {
+    std::this_thread::sleep_for(100us);
   }
   constexpr std::uint64_t kSwaps = 200;
   for (std::uint64_t k = 2; k <= kSwaps + 1; ++k) {

@@ -794,6 +794,73 @@ TEST(FaultSimulator, SlowCoversBothPolarities) {
   }
 }
 
+// The kSlow machine equals the active TDF polarity's machine pattern by
+// pattern (STR and STF activate on disjoint patterns, kSlow on their union,
+// all with the late V1 value), so each polarity's diff is the kSlow diff
+// restricted to that polarity's activation patterns. Diagnosis scores both
+// polarities from one kSlow simulation on this identity.
+TEST(FaultSimulator, SlowDiffSplitsExactlyByActivation) {
+  FaultSimFixture fx(34);
+  const std::size_t W = fx.fsim.num_words();
+  std::vector<Word> both, single;
+  for (netlist::SiteId s = 0; s < fx.sites.size(); s += 3) {
+    fx.fsim.observed_diff({s, FaultPolarity::kSlow}, both);
+    for (FaultPolarity p :
+         {FaultPolarity::kSlowToRise, FaultPolarity::kSlowToFall}) {
+      fx.fsim.observed_diff({s, p}, single);
+      const auto act = fx.fsim.activation_mask({s, p});
+      for (std::size_t i = 0; i < both.size(); ++i) {
+        ASSERT_EQ(single[i], both[i] & act[i % W])
+            << "site " << s << " " << sim::polarity_name(p);
+      }
+    }
+  }
+}
+
+// The pattern-restricted sparse observed_diff() is the full diff on the
+// allowed patterns (patterns are simulated independently), packed to the
+// observation points where it is nonzero.
+TEST(FaultSimulator, PatternMaskedDiffIsFullDiffOnThosePatterns) {
+  FaultSimFixture fx(35);
+  const std::size_t W = fx.fsim.num_words();
+  Rng rng(36);
+  std::vector<Word> mask(W), full, packed;
+  std::vector<std::uint32_t> touched;
+  int nonempty = 0;
+  for (netlist::SiteId s = 0; s < fx.sites.size(); s += 5) {
+    for (Word& m : mask) m = rng.next();
+    for (FaultPolarity p : sim::kAllPolarities) {
+      for (bool complement : {false, true}) {
+        std::vector<Word> allowed = mask;
+        if (complement) {
+          for (Word& m : allowed) m = ~m;
+        }
+        const InjectedFault f{s, p};
+        fx.fsim.observed_diff(f, full);
+        const bool any = fx.fsim.observed_diff(f, allowed, packed, touched);
+        ASSERT_EQ(packed.size(), touched.size() * W);
+        std::vector<Word> want(full.size(), 0);
+        for (std::size_t i = 0; i < full.size(); ++i) {
+          want[i] = full[i] & allowed[i % W];
+        }
+        std::vector<Word> got(full.size(), 0);
+        for (std::size_t k = 0; k < touched.size(); ++k) {
+          Word row = 0;
+          for (std::size_t w = 0; w < W; ++w) {
+            got[touched[k] * W + w] = packed[k * W + w];
+            row |= packed[k * W + w];
+          }
+          EXPECT_NE(row, Word{0}) << "all-zero row packed";
+        }
+        EXPECT_EQ(got, want) << "site " << s << " " << sim::polarity_name(p);
+        EXPECT_EQ(any, !touched.empty());
+        nonempty += any;
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 20);
+}
+
 TEST(FaultSimulator, MultipleFaultsProduceUnionOfCones) {
   FaultSimFixture fx(33);
   std::vector<Word> da, db, dab;
