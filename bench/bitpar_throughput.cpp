@@ -129,9 +129,7 @@ int main() {
       sim::PatternSet::random(nl.num_inputs(), patterns, rng);
   fsim.bind(v1, v2);
 
-  const sim::bitpar::NetlistArena arena(nl, sites);
-  BitParallelSimulator bp(arena, sites);
-  bp.bind(fsim.good());
+  const BitParallelSimulator bp(fsim.core());
 
   std::printf("design: %zu gates, %zu sites, %zu patterns\n",
               nl.num_gates(), sites.size(), patterns);

@@ -57,8 +57,10 @@ void fill_pattern(PatternSet& ps, std::size_t slot,
 }  // namespace
 
 TdfPatternPair generate_tdf_patterns_with_topoff(
-    const netlist::Netlist& nl, const netlist::SiteTable& sites,
-    const PatternGenOptions& opts, std::size_t max_topoff) {
+    std::shared_ptr<const sim::bitpar::NetlistArena> arena,
+    const netlist::SiteTable& sites, const PatternGenOptions& opts,
+    std::size_t max_topoff) {
+  const netlist::Netlist& nl = arena->netlist();
   TdfPatternPair pair;
   pair.num_random = opts.num_patterns;
 
@@ -67,9 +69,13 @@ TdfPatternPair generate_tdf_patterns_with_topoff(
   PatternSet v1 = generate_tdf_patterns(nl, opts);
   PatternSet v2 = generate_tdf_patterns(nl, v2_opts);
 
-  // Fault-dropping pass over the random base.
-  sim::FaultSimulator fsim(nl, sites);
-  fsim.bind(v1, v2);
+  // Fault-dropping pass over the random base. One workspace serves every
+  // pass; each pass binds a core of its own patterns over the one arena.
+  auto core_of = [&](const PatternSet& a, const PatternSet& b) {
+    return std::make_shared<const sim::SimCore>(
+        arena, sim::simulate_two_vector(nl, a, b));
+  };
+  sim::FaultSimulator fsim(core_of(v1, v2));
   std::vector<sim::InjectedFault> pending = enumerate_tdf_faults(sites);
   const std::size_t total_faults = pending.size();
   std::size_t detected = 0;
@@ -141,12 +147,11 @@ TdfPatternPair generate_tdf_patterns_with_topoff(
         sv2.set_bit(i, p, bv2.bit(i, p));
       }
     }
-    sim::FaultSimulator bsim(nl, sites);
-    bsim.bind(sv1, sv2);
+    fsim.bind(core_of(sv1, sv2));
     std::vector<Target> still;
     still.reserve(targets.size());
     for (const Target& t : targets) {
-      if (bsim.detects(t.fault)) {
+      if (fsim.detects(t.fault)) {
         ++detected;
       } else {
         still.push_back(t);

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "netlist/fault_site.h"
 #include "netlist/netlist.h"
+#include "sim/bitpar/arena.h"
 #include "sim/logic_sim.h"
 
 namespace m3dfl::atpg {
@@ -47,9 +49,11 @@ struct TdfPatternPair {
 /// fortuitous faults). Stops when the fault list is exhausted, no target
 /// succeeds, or max_topoff extra patterns were added. This is the stand-in
 /// for the paper's commercial TDF ATPG and reaches comparable (97-99%)
-/// coverage on the benchmark netlists.
+/// coverage on the benchmark netlists. `arena` is the netlist's arena
+/// (built over `sites`); every fault-dropping pass simulates on it.
 TdfPatternPair generate_tdf_patterns_with_topoff(
-    const netlist::Netlist& nl, const netlist::SiteTable& sites,
-    const PatternGenOptions& opts, std::size_t max_topoff);
+    std::shared_ptr<const sim::bitpar::NetlistArena> arena,
+    const netlist::SiteTable& sites, const PatternGenOptions& opts,
+    std::size_t max_topoff);
 
 }  // namespace m3dfl::atpg

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <chrono>
 #include <future>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -57,7 +58,7 @@ void Diagnoser::check_log(const FailureLog& log) const {
 std::vector<GateId> Diagnoser::suspect_gates(const FailureLog& log) {
   assert(fsim_ && "bind() a FaultSimulator before diagnosing");
   check_log(log);  // Before anything indexes by a log entry.
-  const auto& good = fsim_->good();
+  const sim::SimCore& core = fsim_->core();
   const std::size_t num_gates = nl_->num_gates();
 
   // Failing responses as (observation-point set, pattern). The set is one
@@ -66,6 +67,8 @@ std::vector<GateId> Diagnoser::suspect_gates(const FailureLog& log) {
   struct Response {
     std::uint64_t obs;
     std::uint32_t pattern;
+
+    auto operator<=>(const Response&) const = default;
   };
   std::vector<Response> responses;
   if (log.compacted) {
@@ -82,6 +85,26 @@ std::vector<GateId> Diagnoser::suspect_gates(const FailureLog& log) {
     }
   }
   if (responses.empty()) return {};
+
+  // A repeated log entry is one response: keep each first occurrence, in
+  // log order, so sub-sampling and counting see the deduplicated log.
+  {
+    std::vector<std::uint32_t> order(responses.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&responses](std::uint32_t a, std::uint32_t b) {
+                       return responses[a] < responses[b];
+                     });
+    std::vector<std::uint8_t> repeat(responses.size(), 0);
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      repeat[order[i]] = responses[order[i]] == responses[order[i - 1]];
+    }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      if (!repeat[i]) responses[kept++] = responses[i];
+    }
+    responses.resize(kept);
+  }
 
   // For very large logs (multi-fault), subsample responses for the
   // structural pass; signature matching still uses the full log.
@@ -152,15 +175,12 @@ std::vector<GateId> Diagnoser::suspect_gates(const FailureLog& log) {
     walked += walk_.size();
 
     for (GateId g : walk_) {
-      auto add = static_cast<std::uint32_t>(hi - lo);
-      if (!opts_.include_stuck_at) {
-        // TDF: only a transitioning node can launch the fault effect. A
-        // repeated log entry counts once per repeat.
-        add = 0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::uint32_t p = responses[i].pattern;
-          add += (good.tr_word(g, p / kWordBits) >> (p % kWordBits)) & 1;
-        }
+      // Only a transitioning node can launch the fault effect.
+      const Word* tr = core.transition(g).data();
+      std::uint32_t add = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        const std::uint32_t p = responses[i].pattern;
+        add += (tr[p / kWordBits] >> (p % kWordBits)) & 1;
       }
       if (add == 0) continue;
       if (count_[g] == 0) touched_.push_back(g);
@@ -214,20 +234,10 @@ namespace {
 // disjoint patterns, and kSlow on their union with the same late V1 value,
 // so on every pattern the kSlow machine equals whichever TDF polarity is
 // active there (or the good machine): one kSlow simulation, split by the
-// two activation masks, scores both. Stuck-at polarities have no union
-// machine and are simulated one by one.
-struct Machine {
-  FaultPolarity simulated;
-  std::span<const FaultPolarity> scores;
-};
-constexpr FaultPolarity kTdf[] = {FaultPolarity::kSlowToRise,
-                                  FaultPolarity::kSlowToFall};
-constexpr FaultPolarity kSa0[] = {FaultPolarity::kStuckAt0};
-constexpr FaultPolarity kSa1[] = {FaultPolarity::kStuckAt1};
-constexpr Machine kMachines[] = {{FaultPolarity::kSlow, kTdf},
-                                 {FaultPolarity::kStuckAt0, kSa0},
-                                 {FaultPolarity::kStuckAt1, kSa1}};
-constexpr std::size_t kMaxScored = std::size(kTdf);  // Per machine.
+// two activation masks, scores both.
+constexpr FaultPolarity kScored[] = {FaultPolarity::kSlowToRise,
+                                     FaultPolarity::kSlowToFall};
+constexpr std::size_t kNumScored = std::size(kScored);
 
 }  // namespace
 
@@ -344,7 +354,7 @@ std::vector<Candidate> Diagnoser::score_candidates(
     for (Candidate& c : out.cands) scored.push_back(c);
     for (Signature& s : out.sigs) signatures_.push_back(std::move(s));
   }
-  // A site is kept iff one of its machines matched, i.e. reached phase 2.
+  // A site is kept iff one of its polarities matched, i.e. reached phase 2.
   matched_ctr.add(scored.size());
   return scored;
 }
@@ -360,15 +370,15 @@ bool Diagnoser::score_site(FaultSimulator& sim, ScoreScratch& sc,
     sc.cell_scratch.assign(num_rows * W, 0);
   }
 
-  // Simulates `machine` with activation restricted to `patterns` and hands
-  // each predicted row to visit(row, diff): observation points in bypass
-  // mode; compactor cells in compacted mode, folded per phase (the XOR
-  // compactor folds pattern by pattern, so folding each phase on its own
-  // gives the full fold's bits on that phase's patterns).
-  auto run_phase = [&](FaultPolarity machine, const std::vector<Word>& patterns,
-                       auto&& visit) {
-    sim.observed_diff(InjectedFault{site, machine}, patterns, sc.pred_diff,
-                      sc.pred_touched);
+  // Simulates the site's kSlow machine with activation restricted to
+  // `patterns` and hands each predicted row to visit(row, diff):
+  // observation points in bypass mode; compactor cells in compacted mode,
+  // folded per phase (the XOR compactor folds pattern by pattern, so
+  // folding each phase on its own gives the full fold's bits on that
+  // phase's patterns).
+  auto run_phase = [&](const std::vector<Word>& patterns, auto&& visit) {
+    sim.observed_diff(InjectedFault{site, FaultPolarity::kSlow}, patterns,
+                      sc.pred_diff, sc.pred_touched);
     if (!compacted) {
       for (std::size_t i = 0; i < sc.pred_touched.size(); ++i) {
         visit(sc.pred_touched[i], sc.pred_diff.data() + i * W);
@@ -397,60 +407,54 @@ bool Diagnoser::score_site(FaultSimulator& sim, ScoreScratch& sc,
     }
   };
 
-  const std::span<const Machine> machines(kMachines,
-                                          opts_.include_stuck_at ? 3 : 1);
-  for (const Machine& m : machines) {
-    const std::size_t n = m.scores.size();
-    sc.pol_masks.resize(n * W);
-    for (std::size_t k = 0; k < n; ++k) {
-      sim.activation_mask(InjectedFault{site, m.scores[k]},
-                          std::span<Word>(sc.pol_masks.data() + k * W, W));
-    }
-    std::size_t matched[kMaxScored] = {};
-    std::size_t mispred[kMaxScored] = {};
-    Signature sigs[kMaxScored];
-    // Splits a predicted row by polarity. Observed fails sit on F only, so
-    // phase 2 rows add to mispred alone.
-    auto tally = [&](std::size_t row, const Word* p) {
-      const Word* ob = obs_mask_.data() + row * W;
-      for (std::size_t k = 0; k < n; ++k) {
-        const Word* act = sc.pol_masks.data() + k * W;
-        for (std::size_t w = 0; w < W; ++w) {
-          Word d = p[w] & act[w];
-          matched[k] += static_cast<std::size_t>(std::popcount(d & ob[w]));
-          mispred[k] += static_cast<std::size_t>(std::popcount(d & ~ob[w]));
-          if (!opts_.multifault) continue;
-          while (d) {
-            const int bit = std::countr_zero(d);
-            d &= d - 1;
-            sigs[k].keys.push_back((static_cast<std::uint64_t>(row) << 32) |
-                                   (w * kWordBits + bit));
-          }
+  sc.pol_masks.resize(kNumScored * W);
+  for (std::size_t k = 0; k < kNumScored; ++k) {
+    sim.activation_mask(InjectedFault{site, kScored[k]},
+                        std::span<Word>(sc.pol_masks.data() + k * W, W));
+  }
+  std::size_t matched[kNumScored] = {};
+  std::size_t mispred[kNumScored] = {};
+  Signature sigs[kNumScored];
+  // Splits a predicted row by polarity. Observed fails sit on F only, so
+  // phase 2 rows add to mispred alone.
+  auto tally = [&](std::size_t row, const Word* p) {
+    const Word* ob = obs_mask_.data() + row * W;
+    for (std::size_t k = 0; k < kNumScored; ++k) {
+      const Word* act = sc.pol_masks.data() + k * W;
+      for (std::size_t w = 0; w < W; ++w) {
+        Word d = p[w] & act[w];
+        matched[k] += static_cast<std::size_t>(std::popcount(d & ob[w]));
+        mispred[k] += static_cast<std::size_t>(std::popcount(d & ~ob[w]));
+        if (!opts_.multifault) continue;
+        while (d) {
+          const int bit = std::countr_zero(d);
+          d &= d - 1;
+          sigs[k].keys.push_back((static_cast<std::uint64_t>(row) << 32) |
+                                 (w * kWordBits + bit));
         }
       }
-    };
-    // Phase 1 (failing patterns) fixes every polarity's matched count; a
-    // machine none of whose polarities matched is done.
-    run_phase(m.simulated, fail_patterns_, tally);
-    if (*std::max_element(matched, matched + n) == 0) continue;
-    // Phase 2 (passing patterns): every predicted bit is a misprediction.
-    run_phase(m.simulated, pass_patterns_, tally);
-    for (std::size_t k = 0; k < n; ++k) {
-      if (matched[k] == 0) continue;
-      const std::size_t missed = obs_total_fails_ - matched[k];
-      const double denom =
-          static_cast<double>(matched[k] + mispred[k] + missed);
-      const double score =
-          denom > 0 ? static_cast<double>(matched[k]) / denom : 0;
-      if (score > best.score) {
-        best.site = site;
-        best.polarity = m.scores[k];
-        best.score = score;
-        best.matched = static_cast<std::uint32_t>(matched[k]);
-        best.mispredicted = static_cast<std::uint32_t>(mispred[k]);
-        best.missed = static_cast<std::uint32_t>(missed);
-        best_sig = std::move(sigs[k]);
-      }
+    }
+  };
+  // Phase 1 (failing patterns) fixes every polarity's matched count; a site
+  // none of whose polarities matched is done.
+  run_phase(fail_patterns_, tally);
+  if (*std::max_element(matched, matched + kNumScored) == 0) return false;
+  // Phase 2 (passing patterns): every predicted bit is a misprediction.
+  run_phase(pass_patterns_, tally);
+  for (std::size_t k = 0; k < kNumScored; ++k) {
+    if (matched[k] == 0) continue;
+    const std::size_t missed = obs_total_fails_ - matched[k];
+    const double denom = static_cast<double>(matched[k] + mispred[k] + missed);
+    const double score =
+        denom > 0 ? static_cast<double>(matched[k]) / denom : 0;
+    if (score > best.score) {
+      best.site = site;
+      best.polarity = kScored[k];
+      best.score = score;
+      best.matched = static_cast<std::uint32_t>(matched[k]);
+      best.mispredicted = static_cast<std::uint32_t>(mispred[k]);
+      best.missed = static_cast<std::uint32_t>(missed);
+      best_sig = std::move(sigs[k]);
     }
   }
   if (best.site == netlist::kNoSite) return false;

@@ -40,11 +40,6 @@ struct DiagnoserOptions {
   double single_fault_relax = 0.85;
   /// Multi-fault mode: union-based suspect collection + greedy cover.
   bool multifault = false;
-  /// Also hypothesize stuck-at candidates (SA0/SA1) next to the TDF
-  /// polarities, and drop the suspect transition requirement (a stuck site
-  /// fails patterns it never transitions on). Enables diagnosing stuck-at
-  /// defects with the same engine.
-  bool include_stuck_at = false;
   /// Worker threads for per-candidate fault simulation (0 = one per
   /// hardware thread). Parallel runs shard over disjoint candidate ranges
   /// and merge in order, so reports are bit-identical at every thread count.
@@ -57,7 +52,8 @@ struct DiagnoserOptions {
 /// Pipeline per failure log:
 ///  1. structural back-trace: suspect gates = transitioning gates inside the
 ///     fan-in cones of the failing observation points (intersected across
-///     failing responses for a single defect, united for multi-fault). The
+///     distinct failing responses for a single defect, united for
+///     multi-fault; a repeated log entry counts once). The
 ///     cones are walked per request over the netlist's fan-in lists, once
 ///     per distinct failing observation-point set, so the engine keeps no
 ///     per-design cone index — only O(gates) scratch;
@@ -105,10 +101,9 @@ class Diagnoser {
   void check_log(const FailureLog& log) const;
   std::vector<Candidate> score_candidates(
       const FailureLog& log, const std::vector<netlist::GateId>& suspects);
-  /// Scores one candidate site (all polarities) against obs_mask_ in two
-  /// exact phases: each faulty machine is simulated on the failing
-  /// patterns, and on the passing patterns only if one of its polarities
-  /// matched. Returns false when no polarity produced a match. Reads only
+  /// Scores one candidate site (both TDF polarities) against obs_mask_ in
+  /// two exact phases: its kSlow machine is simulated on the failing
+  /// patterns, and on the passing patterns only if a polarity matched. Returns false when no polarity produced a match. Reads only
   /// immutable state plus the per-log masks, so shards may run it
   /// concurrently with private simulators and scratch.
   bool score_site(FaultSimulator& sim, ScoreScratch& sc, bool compacted,

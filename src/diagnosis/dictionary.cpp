@@ -159,16 +159,11 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
   // Bit-parallel variant of build_sites: packs the shard's (site, polarity)
   // jobs up to kMaxLanes per sweep, in site-major order, so the entry
   // sequence (and thus fingerprint()) matches the event campaign exactly.
-  sim::bitpar::NetlistArena const* arena = nullptr;
-  sim::bitpar::BitParallelSimulator const* bp = nullptr;
-  std::optional<sim::bitpar::NetlistArena> arena_storage;
-  std::optional<sim::bitpar::BitParallelSimulator> bp_storage;
-  if (options.backend == sim::SimBackend::kBitParallel) {
-    arena_storage.emplace(nl, sites);
-    arena = &*arena_storage;
-    bp_storage.emplace(*arena, sites);
-    bp_storage->bind(fsim.good());
-    bp = &*bp_storage;
+  // It simulates over fsim's core.
+  const bool bitpar = options.backend == sim::SimBackend::kBitParallel;
+  std::optional<sim::bitpar::BitParallelSimulator> bp;
+  if (bitpar) {
+    bp.emplace(fsim.core());
     reg.gauge("sim.simd_tier").set(static_cast<double>(bp->tier()));
   }
   auto build_sites_bp = [&](sim::bitpar::BitParallelSimulator::Workspace& ws,
@@ -208,8 +203,6 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
                           std::chrono::steady_clock::now() - t0)
                           .count());
   };
-
-  const bool bitpar = options.backend == sim::SimBackend::kBitParallel;
 
   // Shard plan: either cone-closed hierarchical regions (paper-scale mode)
   // or contiguous site ranges. Both are lists of ascending site ids; the

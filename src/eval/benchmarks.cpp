@@ -234,6 +234,9 @@ std::unique_ptr<Design> build_design(const BenchmarkSpec& spec, Config config,
     d->part.tier_of_gate[g] = d->nl.gate(g).tier;
   }
   part::update_cut_stats(d->nl, d->part);
+  // The design's one arena: ATPG top-off and the simulation core share it.
+  const auto arena =
+      std::make_shared<const sim::bitpar::NetlistArena>(d->nl, d->sites);
 
   // 3. Scan + TDF pattern generation (regenerated per configuration, as in
   // the paper's flow).
@@ -245,7 +248,7 @@ std::unique_ptr<Design> build_design(const BenchmarkSpec& spec, Config config,
   pgen.seed = derive_seed(spec.seed, 41 + static_cast<std::uint64_t>(config));
   if (spec.enhanced_scan) {
     atpg::TdfPatternPair pair = atpg::generate_tdf_patterns_with_topoff(
-        d->nl, d->sites, pgen, spec.max_topoff_patterns);
+        arena, d->sites, pgen, spec.max_topoff_patterns);
     d->patterns = std::move(pair.v1);
     d->patterns_v2 = std::move(pair.v2);
     d->atpg_coverage = pair.coverage;
@@ -258,14 +261,13 @@ std::unique_ptr<Design> build_design(const BenchmarkSpec& spec, Config config,
   // 4. Good-machine simulation + heterogeneous graph (feature
   // construction; timed for Table IX).
   const auto t0 = std::chrono::steady_clock::now();
-  d->fsim = std::make_unique<sim::FaultSimulator>(d->nl, d->sites);
-  if (spec.enhanced_scan) {
-    d->fsim->bind(d->patterns, d->patterns_v2);
-  } else {
-    d->fsim->bind(d->patterns);
-  }
+  d->core = std::make_shared<const sim::SimCore>(
+      arena, spec.enhanced_scan
+                 ? sim::simulate_two_vector(d->nl, d->patterns, d->patterns_v2)
+                 : sim::simulate_launch_off_capture(d->nl, d->patterns));
+  d->fsim = std::make_unique<sim::FaultSimulator>(d->core);
   d->graph = std::make_unique<graphx::HeteroGraph>(d->nl, d->sites);
-  d->graph->bind_transitions(d->fsim->good());
+  d->graph->bind_transitions(*d->core);
   const auto t1 = std::chrono::steady_clock::now();
   d->graph_build_seconds = std::chrono::duration<double>(t1 - t0).count();
 

@@ -79,9 +79,9 @@ BenchmarkSpec paper_scale_spec(std::uint32_t num_logic_gates,
 BenchmarkSpec m3d100k_spec();
 BenchmarkSpec m3d338k_spec();
 
-/// A fully built design: M3D netlist + scan + patterns + bound simulator +
-/// heterogeneous graph. Heap-held and immovable once built (the simulator
-/// and graph hold pointers into the owning struct).
+/// A fully built design: M3D netlist + scan + patterns + simulation core +
+/// heterogeneous graph. Heap-held and immovable once built (the core and
+/// graph hold pointers into the owning struct).
 struct Design {
   BenchmarkSpec spec;
   Config config = Config::kSyn1;
@@ -93,7 +93,10 @@ struct Design {
   sim::PatternSet patterns;    ///< Launch (V1) scan loads.
   sim::PatternSet patterns_v2; ///< Capture (V2) loads (enhanced scan only).
 
-  std::unique_ptr<sim::FaultSimulator> fsim;   ///< Bound to `patterns`.
+  /// Arena + good machine of `patterns`, built once and shared read-only
+  /// by every simulator of the design (workers clone fsim over it).
+  std::shared_ptr<const sim::SimCore> core;
+  std::unique_ptr<sim::FaultSimulator> fsim;   ///< Workspace over `core`.
   std::unique_ptr<graphx::HeteroGraph> graph;  ///< Transitions bound.
 
   double graph_build_seconds = 0.0;  ///< Feature-construction time (T. IX).

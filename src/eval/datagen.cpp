@@ -194,12 +194,9 @@ Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
   // through untouched, so the Dataset is bit-identical to the event
   // backend.
   const bool bitpar = opts.backend == sim::SimBackend::kBitParallel;
-  std::optional<sim::bitpar::NetlistArena> arena;
   std::optional<sim::bitpar::BitParallelSimulator> bp;
   if (bitpar) {
-    arena.emplace(design.nl, design.sites);
-    bp.emplace(*arena, design.sites);
-    bp->bind(design.fsim->good());
+    bp.emplace(*design.core);
     reg.gauge("sim.simd_tier").set(static_cast<double>(bp->tier()));
   }
   auto run_range_bp = [&](sim::bitpar::BitParallelSimulator::Workspace& ws,

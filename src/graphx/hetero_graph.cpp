@@ -117,18 +117,12 @@ HeteroGraph::HeteroGraph(const Netlist& nl, const SiteTable& sites)
   }
 }
 
-void HeteroGraph::bind_transitions(const sim::TwoVectorResult& tv) {
-  tv_ = &tv;
+void HeteroGraph::bind_transitions(const sim::SimCore& core) {
+  core_ = &core;
   tpat_.assign(num_nodes(), 0);
-  const std::size_t W = tv.num_words;
-  const std::size_t rem = tv.num_patterns % sim::kWordBits;
-  const sim::Word tail = rem ? ((sim::Word{1} << rem) - 1) : ~sim::Word{0};
   for (SiteId s = 0; s < num_nodes(); ++s) {
-    const GateId drv = sites_->site(s).driver;
     std::uint32_t count = 0;
-    for (std::size_t w = 0; w < W; ++w) {
-      sim::Word t = tv.tr_word(drv, w);
-      if (w + 1 == W) t &= tail;
+    for (sim::Word t : core.transition(sites_->site(s).driver)) {
       count += static_cast<std::uint32_t>(std::popcount(t));
     }
     tpat_[s] = count;
@@ -136,9 +130,9 @@ void HeteroGraph::bind_transitions(const sim::TwoVectorResult& tv) {
 }
 
 bool HeteroGraph::transitions_at(SiteId n, std::uint32_t pattern) const {
-  assert(tv_);
-  const GateId drv = sites_->site(n).driver;
-  const sim::Word t = tv_->tr_word(drv, pattern / sim::kWordBits);
+  assert(core_);
+  const sim::Word t =
+      core_->transition(sites_->site(n).driver)[pattern / sim::kWordBits];
   return (t >> (pattern % sim::kWordBits)) & 1;
 }
 

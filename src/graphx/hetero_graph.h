@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "netlist/fault_site.h"
-#include "sim/logic_sim.h"
+#include "sim/sim_core.h"
 
 namespace m3dfl::graphx {
 
@@ -83,12 +83,12 @@ class HeteroGraph {
 
   // -- Pattern binding ------------------------------------------------------
 
-  /// Binds the good-machine two-vector result so transition queries (used
-  /// by back-tracing and the Tpat feature) are available. The result must
-  /// outlive the binding.
-  void bind_transitions(const sim::TwoVectorResult& tv);
+  /// Binds the good machine of a simulation core so transition queries
+  /// (used by back-tracing and the Tpat feature) are available. The core
+  /// must outlive the binding.
+  void bind_transitions(const sim::SimCore& core);
 
-  bool has_transitions() const { return tv_ != nullptr; }
+  bool has_transitions() const { return core_ != nullptr; }
 
   /// True if the signal at node n switches under pattern p.
   bool transitions_at(SiteId n, std::uint32_t pattern) const;
@@ -109,7 +109,7 @@ class HeteroGraph {
   std::vector<std::size_t> topedge_ptr_;
   std::vector<TopAgg> agg_;
 
-  const sim::TwoVectorResult* tv_ = nullptr;
+  const sim::SimCore* core_ = nullptr;
   std::vector<std::uint32_t> tpat_;
 };
 

@@ -61,20 +61,20 @@ std::uint64_t failure_log_fingerprint(const sim::FailureLog& log) {
   return h;
 }
 
-/// Stateful per-task diagnosis machinery: a simulator clone plus the
-/// Diagnoser's O(gates) scratch (it keeps no per-design index; the
-/// back-trace walks the shared netlist). The Diagnoser mutates that scratch
-/// and its FaultSimulator's faulty-machine workspace during diagnose(), so
-/// contexts are never shared between concurrent tasks; the design's own
-/// shared simulator (design.fsim) is left untouched by the service.
+/// Stateful per-task diagnosis machinery: a simulator workspace over the
+/// design's shared SimCore plus the Diagnoser's O(gates) scratch (it keeps
+/// no per-design index; the back-trace walks the shared netlist). The
+/// Diagnoser mutates that scratch and its FaultSimulator's faulty-machine
+/// workspace during diagnose(), so contexts are never shared between
+/// concurrent tasks; the design's own simulator (design.fsim) is left
+/// untouched by the service.
 struct DiagnosisService::WorkerContext {
   std::unique_ptr<sim::FaultSimulator> fsim;
   std::unique_ptr<diag::Diagnoser> diagnoser;
 
   explicit WorkerContext(const eval::Design& d) {
-    // Clone the design's already-bound simulator instead of re-running the
-    // good-machine simulation: registration and pool growth become a
-    // memcpy of the good-machine state.
+    // A fresh workspace over the design's core: registration and pool
+    // growth copy no good-machine row and re-run no simulation.
     fsim = d.fsim->clone();
     // Mirrors Design::make_diagnoser(false) but binds a private simulator,
     // which is what makes concurrent diagnosis of one design legal.

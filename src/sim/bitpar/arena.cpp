@@ -30,7 +30,8 @@ OpKind op_of(GateType t) {
 }  // namespace
 
 NetlistArena::NetlistArena(const netlist::Netlist& nl,
-                           const netlist::SiteTable& sites) {
+                           const netlist::SiteTable& sites)
+    : nl_(&nl) {
   const std::size_t n = nl.num_gates();
   const auto& levels = nl.levels();
   num_outputs_ = nl.num_outputs();
@@ -102,8 +103,8 @@ NetlistArena::NetlistArena(const netlist::Netlist& nl,
     }
   }
 
-  // Reverse reachability to the observation points — the same cone-pruning
-  // predicate the event engine uses. Descending arena order is a reverse
+  // Reverse reachability to the observation points, the cone-pruning
+  // predicate of both engines. Descending arena order is a reverse
   // topological order, so one sweep settles it.
   observable_.assign(n, 0);
   for (std::uint32_t u = static_cast<std::uint32_t>(n); u-- > 0;) {

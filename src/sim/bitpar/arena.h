@@ -20,21 +20,22 @@ namespace m3dfl::sim::bitpar {
 ///  * kOr    — OR/NOR, dually.
 enum class OpKind : std::uint8_t { kInput = 0, kPass, kXor2, kAnd, kOr };
 
-/// Flat CSR/SoA mirror of a netlist::Netlist, built once and shared
-/// read-only by every BitParallelSimulator shard.
+/// Flat CSR/SoA mirror of a netlist::Netlist, built once per design and
+/// shared read-only (through a SimCore) by every simulator of the design.
+/// The netlist must outlive the arena.
 ///
 /// Arena gate ids renumber the netlist in (topological level, gate id)
 /// order, so ascending arena id is a valid evaluation order and each
 /// level occupies one contiguous range (level_begin/level_end). Fanin and
 /// fanout lists are flattened into CSR arrays; output indices, the
-/// reverse-reachability observability mask (same predicate the event
-/// engine prunes with), and the fault-site table are re-based onto arena
-/// ids so the simulator never touches the pointer-heavy Netlist on the
-/// hot path.
+/// reverse-reachability observability mask both engines prune with,
+/// and the fault-site table are re-based onto arena ids so the simulators
+/// never touch the pointer-heavy Netlist on the hot path.
 class NetlistArena {
  public:
   NetlistArena(const netlist::Netlist& nl, const netlist::SiteTable& sites);
 
+  const netlist::Netlist& netlist() const { return *nl_; }
   std::size_t num_gates() const { return orig_of_.size(); }
   std::size_t num_outputs() const { return num_outputs_; }
   std::uint32_t num_levels() const { return num_levels_; }
@@ -76,6 +77,7 @@ class NetlistArena {
   std::size_t num_sites() const { return sites_.size(); }
 
  private:
+  const netlist::Netlist* nl_;
   std::size_t num_outputs_ = 0;
   std::uint32_t num_levels_ = 0;
   std::vector<netlist::GateId> orig_of_;

@@ -9,10 +9,13 @@
 
 namespace m3dfl::sim::bitpar {
 
-BitParallelSimulator::BitParallelSimulator(const NetlistArena& arena,
-                                           const netlist::SiteTable& sites,
+BitParallelSimulator::BitParallelSimulator(const SimCore& core,
                                            SimdTier tier)
-    : arena_(&arena), sites_(&sites), tier_(tier) {
+    : core_(&core),
+      arena_(&core.arena()),
+      tier_(tier),
+      row_words_((core.num_patterns() + kRowStride - 1) / kRowStride *
+                 kRowStride) {
   if (!tier_available(tier_)) tier_ = best_tier();
   switch (tier_) {
     case SimdTier::kScalar: sweep_ = scalar_sweep(); break;
@@ -20,54 +23,6 @@ BitParallelSimulator::BitParallelSimulator(const NetlistArena& arena,
     case SimdTier::kAvx2: sweep_ = avx2_sweep(); break;
   }
   assert(sweep_ != nullptr);
-}
-
-void BitParallelSimulator::bind(const TwoVectorResult& good) {
-  const std::size_t G = arena_->num_gates();
-  num_patterns_ = good.num_patterns;
-  W_ = good.num_words;
-  row_words_ = (num_patterns_ + kRowStride - 1) / kRowStride * kRowStride;
-  tail_ = 0;
-  if (W_ > 0) {
-    const std::size_t rem = num_patterns_ % kWordBits;
-    tail_ = rem == 0 ? ~Word{0} : (~Word{0} >> (kWordBits - rem));
-  }
-  v1_.resize(G * W_);
-  v2_.resize(G * W_);
-  tr_.resize(G * W_);
-  for (std::uint32_t u = 0; u < G; ++u) {
-    const netlist::GateId g = arena_->orig_of(u);
-    for (std::size_t w = 0; w < W_; ++w) {
-      v1_[u * W_ + w] = good.v1_word(g, w);
-      v2_[u * W_ + w] = good.v2_word(g, w);
-      tr_[u * W_ + w] = good.tr_word(g, w);
-    }
-    // Inverting gates leave garbage in tail bits; a tail bit must never
-    // activate a fault, and the kernels' in-register expansion of V2 must
-    // see zero pads (the event engine masks identically at bind).
-    if (W_ > 0) {
-      tr_[u * W_ + (W_ - 1)] &= tail_;
-      v2_[u * W_ + (W_ - 1)] &= tail_;
-    }
-  }
-}
-
-void BitParallelSimulator::compute_activation(const InjectedFault& fault,
-                                              Word* act) const {
-  const std::uint32_t d = arena_->site(fault.site).driver;
-  const Word* v1 = v1_.data() + static_cast<std::size_t>(d) * W_;
-  const Word* v2 = v2_.data() + static_cast<std::size_t>(d) * W_;
-  const Word* tr = tr_.data() + static_cast<std::size_t>(d) * W_;
-  for (std::size_t w = 0; w < W_; ++w) {
-    switch (fault.polarity) {
-      case FaultPolarity::kSlowToRise: act[w] = ~v1[w] & v2[w] & tr[w]; break;
-      case FaultPolarity::kSlowToFall: act[w] = v1[w] & ~v2[w] & tr[w]; break;
-      case FaultPolarity::kSlow: act[w] = (v1[w] ^ v2[w]) & tr[w]; break;
-      case FaultPolarity::kStuckAt0: act[w] = v2[w]; break;
-      case FaultPolarity::kStuckAt1: act[w] = ~v2[w]; break;
-    }
-    if (w + 1 == W_) act[w] &= tail_;
-  }
 }
 
 void BitParallelSimulator::run(std::span<const InjectedFault> faults,
@@ -86,20 +41,20 @@ void BitParallelSimulator::run(std::span<const InjectedFault> faults,
 void BitParallelSimulator::run_machines(
     std::span<const std::span<const InjectedFault>> machines, Workspace& ws,
     BatchResult& out) const {
-  assert(bound() && "bind() must be called before simulation");
   assert(machines.size() <= kMaxLanes);
   const std::size_t n = machines.size();
+  const std::size_t num_patterns = core_->num_patterns();
 
   ++ws.stats.batches;
   ws.stats.machines += n;
   out.num_machines = n;
   out.num_outputs = arena_->num_outputs();
-  out.num_words = W_;
-  out.num_patterns = num_patterns_;
+  out.num_words = core_->num_words();
+  out.num_patterns = num_patterns;
   out.fails.clear();
   std::fill(std::begin(out.detected), std::end(out.detected), Word{0});
   out.lane_of.resize(n);
-  if (n == 0 || num_patterns_ == 0) return;
+  if (n == 0 || num_patterns == 0) return;
 
   // Cluster cone-similar machines into the same 64-lane block: ascending
   // arena id of the first fault's site gate is topological order, so
@@ -131,7 +86,7 @@ void BitParallelSimulator::run_block(
     std::span<const std::span<const InjectedFault>> machines,
     std::size_t lane_lo, std::size_t lane_hi, Workspace& ws,
     BatchResult& out) const {
-  const std::size_t W = W_;
+  const std::size_t W = core_->num_words();
   const std::size_t RW = row_words_;
   const std::size_t G = arena_->num_gates();
 
@@ -153,7 +108,7 @@ void BitParallelSimulator::run_block(
       }
       ws.act.resize((rows + 1) * W);
       Word* act = ws.act.data() + rows * W;
-      compute_activation(f, act);
+      core_->activation(f, act);
       Word any = 0;
       for (std::size_t w = 0; w < W; ++w) any |= act[w];
       if (any == 0) {
@@ -175,7 +130,7 @@ void BitParallelSimulator::run_block(
   for (std::size_t w = 0; w < W; ++w) {
     live += static_cast<std::size_t>(__builtin_popcountll(ws.union_act[w]));
   }
-  ws.stats.patterns_skipped += num_patterns_ - live;
+  ws.stats.patterns_skipped += core_->num_patterns() - live;
 
   // Group injections by (gate, pin) into points; each point gets a
   // constant lane mask and a per-pattern injection row.
@@ -283,7 +238,7 @@ void BitParallelSimulator::run_block(
   if (ws.eff.size() < 4 * RW) ws.eff.resize(4 * RW);
 
   SweepContext c;
-  c.num_patterns = static_cast<std::uint32_t>(num_patterns_);
+  c.num_patterns = static_cast<std::uint32_t>(core_->num_patterns());
   c.row_words = static_cast<std::uint32_t>(RW);
   c.W = static_cast<std::uint32_t>(W);
   c.block = static_cast<std::uint32_t>(lane_lo / kBlockLanes);
@@ -291,7 +246,7 @@ void BitParallelSimulator::run_block(
   c.sched_size = static_cast<std::uint32_t>(ws.sched.size());
   c.delta = ws.delta.data();
   c.eff = ws.eff.data();
-  c.v2 = v2_.data();
+  c.v2 = core_->v2(0);
   c.point_masks = ws.point_masks.data();
   c.points = ws.points.data();
   c.lane_injects = ws.lane_injects.data();

@@ -28,27 +28,21 @@ namespace m3dfl::sim::bitpar {
 /// machines, partial tail words. The golden tests in tests/bitpar_test.cpp
 /// enforce this against every available SIMD tier.
 ///
-/// Threading: the simulator is immutable after bind() and shared across
-/// shards; all per-batch scratch lives in a caller-owned Workspace, so
-/// there is no clone()/pool dance — N shards = N workspaces, one simulator.
+/// Threading: the simulator reads the design's immutable SimCore (the
+/// arena and the arena-major good-machine rows the event engine also
+/// reads) and holds no rows of its own; all per-batch scratch lives in a
+/// caller-owned Workspace, so there is no clone()/pool dance — N shards =
+/// N workspaces, one simulator.
 class BitParallelSimulator {
  public:
-  /// `arena` and `sites` must outlive the simulator.
-  BitParallelSimulator(const NetlistArena& arena,
-                       const netlist::SiteTable& sites,
-                       SimdTier tier = resolve_tier());
+  /// `core` must outlive the simulator.
+  explicit BitParallelSimulator(const SimCore& core,
+                                SimdTier tier = resolve_tier());
 
-  /// Binds the good-machine two-vector result (typically a bound
-  /// FaultSimulator's good()), re-laying the rows arena-major. Tail bits
-  /// of the final word are masked here, so binding from a raw
-  /// simulate_*_vector result is equivalent to binding from good().
-  void bind(const TwoVectorResult& good);
-
-  bool bound() const { return num_patterns_ > 0; }
   SimdTier tier() const { return tier_; }
-  std::size_t num_patterns() const { return num_patterns_; }
-  std::size_t num_words() const { return W_; }
-  const NetlistArena& arena() const { return *arena_; }
+  std::size_t num_patterns() const { return core_->num_patterns(); }
+  std::size_t num_words() const { return core_->num_words(); }
+  const NetlistArena& arena() const { return core_->arena(); }
 
   /// Result of one batch. Fail records are sparse (only miscompares are
   /// stored); the per-lane extraction helpers reproduce the event engine's
@@ -129,20 +123,15 @@ class BitParallelSimulator {
                     Workspace& ws, BatchResult& out) const;
 
  private:
-  void compute_activation(const InjectedFault& fault, Word* act) const;
   void run_block(std::span<const std::span<const InjectedFault>> machines,
                  std::size_t lane_lo, std::size_t lane_hi, Workspace& ws,
                  BatchResult& out) const;
 
+  const SimCore* core_;
   const NetlistArena* arena_;
-  const netlist::SiteTable* sites_;
   SimdTier tier_;
   SweepFn sweep_;
-  std::size_t num_patterns_ = 0;
-  std::size_t W_ = 0;
-  std::size_t row_words_ = 0;  ///< num_patterns_ padded to kRowStride.
-  Word tail_ = 0;
-  std::vector<Word> v1_, v2_, tr_;  ///< Arena-major packed good rows.
+  std::size_t row_words_;  ///< num_patterns() padded to kRowStride.
 };
 
 /// Adds the counters to the sim.bitpar.* registry metrics and resets them

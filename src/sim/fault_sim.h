@@ -5,45 +5,9 @@
 #include <span>
 #include <vector>
 
-#include "netlist/fault_site.h"
-#include "sim/logic_sim.h"
+#include "sim/sim_core.h"
 
 namespace m3dfl::sim {
-
-using netlist::SiteId;
-using netlist::SiteTable;
-
-/// Fault-model variants supported by the simulator. The paper's framework
-/// targets transition delay faults; the classic stuck-at models are also
-/// provided (the diagnosis engine and graph pipeline are fault-model
-/// agnostic, so the library doubles as a stuck-at diagnosis substrate).
-enum class FaultPolarity : std::uint8_t {
-  kSlowToRise,  ///< TDF: late 0->1 transition.
-  kSlowToFall,  ///< TDF: late 1->0 transition.
-  kSlow,        ///< TDF: gross delay, both transitions late.
-  kStuckAt0,    ///< Permanent 0 at the site.
-  kStuckAt1,    ///< Permanent 1 at the site.
-};
-
-const char* polarity_name(FaultPolarity p);
-
-/// All five polarities, in enum order (bench/test sweeps).
-inline constexpr FaultPolarity kAllPolarities[] = {
-    FaultPolarity::kSlowToRise, FaultPolarity::kSlowToFall,
-    FaultPolarity::kSlow, FaultPolarity::kStuckAt0, FaultPolarity::kStuckAt1};
-
-/// True for the stuck-at variants.
-inline bool is_stuck_at(FaultPolarity p) {
-  return p == FaultPolarity::kStuckAt0 || p == FaultPolarity::kStuckAt1;
-}
-
-/// One injected fault at a fault site.
-struct InjectedFault {
-  SiteId site = netlist::kNoSite;
-  FaultPolarity polarity = FaultPolarity::kSlow;
-
-  bool operator==(const InjectedFault&) const = default;
-};
 
 /// Event-driven bit-parallel TDF fault simulator.
 ///
@@ -55,16 +19,19 @@ struct InjectedFault {
 /// V2 network event-driven (level-ordered), and the failing observation
 /// points are reported.
 ///
-/// bind() runs the good-machine two-vector simulation once per pattern set;
-/// observed_diff() then costs only the faulty cone, which makes per-candidate
-/// signature matching in the diagnosis engine cheap.
+/// A simulator is a per-thread workspace over a shared, immutable SimCore
+/// (the design's arena plus the good machine of the bound pattern set):
+/// the good-machine simulation runs once per pattern set, when the core is
+/// built, and observed_diff() then costs only the faulty cone, which makes
+/// per-candidate signature matching in the diagnosis engine cheap.
 ///
 /// Engine internals (see DESIGN.md "Fault-simulation engine"):
-///  * Output-cone pruning: a per-gate "reaches an observed output" mask is
-///    precomputed once per netlist; faults whose injection gate lies outside
-///    every output cone return immediately, and propagation never enqueues
-///    fanout gates outside the observable cone.
-///  * Epoch-stamped touched tracking: each gate is recorded, restored and
+///  * Arena-id propagation: events run in arena ids over the arena's CSR
+///    fan-in/fan-out, observation-point lists and levels.
+///  * Output-cone pruning: faults whose injection gate lies outside every
+///    output cone (the arena's observability mask) return immediately, and
+///    propagation never enqueues fanout gates outside the observable cone.
+///  * Flagged touched tracking: each gate is recorded, restored and
 ///    reported at most once per call (touched_outputs is duplicate-free).
 ///  * Zero-allocation steady state: all propagation scratch (activation and
 ///    faulty-value rows, branch overrides, level buckets, touched list) is
@@ -90,19 +57,31 @@ class FaultSimulator {
                                     ///< first failing observation point.
   };
 
+  /// A workspace over a bound core.
+  explicit FaultSimulator(std::shared_ptr<const SimCore> core);
+
+  /// An unbound simulator of `nl`; builds the netlist's arena, which every
+  /// bind() of a pattern set reuses.
   FaultSimulator(const netlist::Netlist& nl, const SiteTable& sites);
 
-  /// Binds a V1 pattern set: runs good LoC simulation and prepares the
-  /// persistent faulty-value workspace.
+  FaultSimulator(const FaultSimulator&) = delete;
+  FaultSimulator& operator=(const FaultSimulator&) = delete;
+
+  /// Binds a V1 pattern set: runs good LoC simulation into a new core over
+  /// this simulator's arena and sizes the workspace for it.
   void bind(const PatternSet& v1_inputs);
 
   /// Binds an enhanced-scan pattern pair (independently controllable V1 and
   /// V2 blocks of identical shape).
   void bind(const PatternSet& v1_inputs, const PatternSet& v2_inputs);
 
-  const TwoVectorResult& good() const { return good_; }
-  std::size_t num_words() const { return good_.num_words; }
-  std::size_t num_patterns() const { return good_.num_patterns; }
+  /// Re-targets the workspace at another bound core.
+  void bind(std::shared_ptr<const SimCore> core);
+
+  const SimCore& core() const { return *core_; }
+  const std::shared_ptr<const SimCore>& shared_core() const { return core_; }
+  std::size_t num_words() const { return core_->num_words(); }
+  std::size_t num_patterns() const { return core_->num_patterns(); }
 
   /// Simulates the faulty machine for the given (possibly multiple) faults.
   /// Fills `diff` (resized to num_outputs * num_words) with the packed
@@ -149,28 +128,26 @@ class FaultSimulator {
 
   /// True if the gate lies in the input cone of at least one observed
   /// output — i.e. a fault effect entering at this gate can be seen at all.
-  bool gate_observable(netlist::GateId g) const { return observable_[g] != 0; }
+  bool gate_observable(netlist::GateId g) const {
+    return arena_->observable(arena_->arena_of(g));
+  }
 
   /// True if a fault at this site can reach any observed output (the
   /// cone-pruning predicate: stem faults enter at the site's gate, branch
   /// faults at the receiving gate).
   bool site_observable(SiteId s) const {
-    return observable_[sites_->site(s).gate] != 0;
+    return arena_->observable(arena_->site(s).gate);
   }
 
-  /// Deep copy of this (bound) simulator, sharing only the immutable
-  /// netlist / site tables. The good-machine results are copied, not
-  /// re-simulated, so cloning costs a memcpy instead of a full two-vector
-  /// simulation — the facility behind SimulatorPool and every parallel
-  /// pipeline stage. observed_diff() restores its workspace on return, so
-  /// a clone taken from a simulator at rest behaves identically to the
-  /// original (including the zero-allocation steady state: the clone's
-  /// scratch reserves are re-established, since vector copies drop spare
-  /// capacity).
+  /// A fresh workspace over this (bound) simulator's core: it shares the
+  /// core and copies nothing fixed after bind, so cloning costs one
+  /// faulty-value row set plus per-gate flags — the facility behind
+  /// SimulatorPool and every parallel pipeline stage. Clones behave
+  /// identically to the original, zero-allocation steady state included.
   std::unique_ptr<FaultSimulator> clone() const;
 
-  /// Workload counters since construction, the last take_stats(), or
-  /// clone() (clones start at zero).
+  /// Workload counters since construction or the last take_stats() (clones
+  /// start at zero).
   const SimStats& sim_stats() const { return stats_; }
 
   /// Snapshots the counters and resets them to zero — the shard-flush
@@ -183,18 +160,7 @@ class FaultSimulator {
   }
 
  private:
-  FaultSimulator(const FaultSimulator&) = default;
-
   void ensure_bound() const;
-  void finish_bind(const PatternSet& v1_inputs);
-
-  /// (Re-)reserves the propagation scratch so the steady state allocates
-  /// nothing: touched list, override slots, and per-level event buckets
-  /// sized to the observable gates of each level.
-  void reserve_workspace();
-
-  /// Writes the (tail-masked) activation mask of `fault` into act[0..W).
-  void compute_activation(const InjectedFault& fault, Word* act) const;
 
   /// Shared engine behind observed_diff() and detects(). `patterns` (null =
   /// all) restricts activation; `diff` may be null (detect-only), and
@@ -206,36 +172,25 @@ class FaultSimulator {
                   std::vector<std::uint32_t>* touched_outputs, bool sparse,
                   bool early_exit);
 
-  /// Advances the touched-gate epoch, resetting the stamp array on wrap.
-  void next_epoch();
+  std::shared_ptr<const bitpar::NetlistArena> arena_;
+  std::shared_ptr<const SimCore> core_;  ///< Null until bound.
 
-  const netlist::Netlist* nl_;
-  const SiteTable* sites_;
-  TwoVectorResult good_;
-
-  // Per-output-index lists: which observation indices read each gate.
-  std::vector<std::vector<std::uint32_t>> obs_of_gate_;
-
-  // 1 iff the gate reaches at least one observed output (fixed per netlist).
-  std::vector<std::uint8_t> observable_;
-
-  // Event-driven workspace (sized at bind(); no allocation afterwards).
-  std::vector<Word> faulty_;            ///< Persistent copy of good_.v2.
-  std::vector<std::uint8_t> in_queue_;  ///< Dedup flag per gate.
-  std::vector<std::uint8_t> forced_;    ///< Stem-fault forced gates.
-  std::vector<std::vector<netlist::GateId>> level_buckets_;
-  std::vector<netlist::GateId> touched_;      ///< Duplicate-free, via epochs.
-  std::vector<std::uint32_t> touch_stamp_;    ///< Epoch stamp per gate.
-  std::uint32_t epoch_ = 0;
+  // Event-driven workspace, in arena ids (sized at bind(); no allocation
+  // afterwards).
+  std::vector<Word> faulty_;  ///< Faulty V2 rows; equal to the core's V2
+                              ///< except inside a running call.
+  /// Per-gate kQueued | kForced | kTouched flags, all zero between calls.
+  std::vector<std::uint8_t> state_;
+  std::vector<std::vector<std::uint32_t>> level_buckets_;
+  std::vector<std::uint32_t> touched_;  ///< Duplicate-free, via kTouched.
   std::vector<Word> scratch_;  ///< One gate row of evaluation scratch.
   std::vector<Word> act_;      ///< One row of activation-mask scratch.
   std::vector<Word> fv_;       ///< One row of faulty-value scratch.
-  Word tail_ = 0;              ///< Valid-bit mask of the final word.
 
   /// Branch-fault overrides: (gate, pin) -> row slot in override_rows_.
   /// Small, so a flat list with linear scan is fastest.
   struct BranchOverride {
-    netlist::GateId gate;
+    std::uint32_t gate;
     std::int16_t pin;
     std::uint32_t row;
   };

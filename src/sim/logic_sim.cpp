@@ -48,9 +48,9 @@ Word PatternSet::valid_mask(std::size_t w) const {
   return (Word{1} << rem) - 1;
 }
 
-void eval_gate_words(const Gate& gate, const Word* const* fanin, Word* out,
-                     std::size_t W) {
-  switch (gate.type) {
+void eval_gate_words(GateType type, std::size_t num_fanin,
+                     const Word* const* fanin, Word* out, std::size_t W) {
+  switch (type) {
     case GateType::kInput:
       return;
     case GateType::kBuf:
@@ -72,20 +72,20 @@ void eval_gate_words(const Gate& gate, const Word* const* fanin, Word* out,
     case GateType::kAnd:
     case GateType::kNand:
       for (std::size_t w = 0; w < W; ++w) out[w] = fanin[0][w];
-      for (std::size_t k = 1; k < gate.fanin.size(); ++k) {
+      for (std::size_t k = 1; k < num_fanin; ++k) {
         for (std::size_t w = 0; w < W; ++w) out[w] &= fanin[k][w];
       }
-      if (gate.type == GateType::kNand) {
+      if (type == GateType::kNand) {
         for (std::size_t w = 0; w < W; ++w) out[w] = ~out[w];
       }
       return;
     case GateType::kOr:
     case GateType::kNor:
       for (std::size_t w = 0; w < W; ++w) out[w] = fanin[0][w];
-      for (std::size_t k = 1; k < gate.fanin.size(); ++k) {
+      for (std::size_t k = 1; k < num_fanin; ++k) {
         for (std::size_t w = 0; w < W; ++w) out[w] |= fanin[k][w];
       }
-      if (gate.type == GateType::kNor) {
+      if (type == GateType::kNor) {
         for (std::size_t w = 0; w < W; ++w) out[w] = ~out[w];
       }
       return;
@@ -119,7 +119,7 @@ void LogicSimulator::run_into(const PatternSet& inputs,
       fanin_ptrs[k] =
           out.data() + static_cast<std::size_t>(gate.fanin[k]) * W;
     }
-    eval_gate_words(gate, fanin_ptrs,
+    eval_gate_words(gate.type, gate.fanin.size(), fanin_ptrs,
                     out.data() + static_cast<std::size_t>(g) * W, W);
   }
 }

@@ -60,11 +60,11 @@ class PatternSet {
   std::vector<Word> bits_;
 };
 
-/// Evaluates one gate across W words given pointers to its fanin word rows.
-/// Shared by the good-machine simulator and the event-driven fault
-/// simulator. `out` must not alias any fanin row.
-void eval_gate_words(const netlist::Gate& gate, const Word* const* fanin,
-                     Word* out, std::size_t W);
+/// Evaluates one gate of `type` across W words given pointers to its
+/// `num_fanin` fanin word rows. Shared by the good-machine simulator and
+/// the event-driven fault simulator. `out` must not alias any fanin row.
+void eval_gate_words(netlist::GateType type, std::size_t num_fanin,
+                     const Word* const* fanin, Word* out, std::size_t W);
 
 /// Bit-parallel good-machine simulator for the combinational frame.
 class LogicSimulator {

@@ -16,11 +16,11 @@ namespace m3dfl::sim {
 /// concurrent pipeline shards (dataset generation, dictionary campaigns)
 /// each check a private simulator out instead of sharing the design's.
 ///
-/// acquire() pops an idle clone or copies the prototype (a memcpy of the
-/// good-machine state, not a re-simulation); release() returns it for
-/// reuse. With K concurrent shards at most K clones ever exist. The
-/// prototype is only read, never mutated, so any number of threads may
-/// acquire concurrently while the prototype sits at rest.
+/// acquire() pops an idle clone or makes a new workspace over the
+/// prototype's shared core (no copy of the good machine, no
+/// re-simulation); release() returns it for reuse. With K concurrent
+/// shards at most K clones ever exist. The prototype is only read, never
+/// mutated, so any number of threads may acquire concurrently.
 class SimulatorPool {
  public:
   explicit SimulatorPool(const FaultSimulator& prototype)
@@ -39,7 +39,7 @@ class SimulatorPool {
       }
       ++created_;
     }
-    // Clone outside the lock: the copy is the expensive part.
+    // Clone outside the lock: sizing the workspace is the expensive part.
     return prototype_->clone();
   }
 

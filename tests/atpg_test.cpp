@@ -189,8 +189,9 @@ TEST(Podem, TopoffRaisesCoverage) {
   PatternGenOptions opts;
   opts.num_patterns = 32;  // Deliberately weak random base.
   opts.seed = 9;
-  const TdfPatternPair pair =
-      generate_tdf_patterns_with_topoff(nl, sites, opts, 640);
+  const TdfPatternPair pair = generate_tdf_patterns_with_topoff(
+      std::make_shared<const sim::bitpar::NetlistArena>(nl, sites), sites,
+      opts, 640);
   EXPECT_GT(pair.num_topoff, 0u);
   EXPECT_EQ(pair.v1.num_patterns(), pair.v2.num_patterns());
   EXPECT_EQ(pair.v1.num_patterns(), 32 + pair.num_topoff);

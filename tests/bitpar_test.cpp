@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -39,29 +40,24 @@ constexpr FaultPolarity kPolarityCycle[] = {
     FaultPolarity::kSlowToRise, FaultPolarity::kSlowToFall,
     FaultPolarity::kSlow, FaultPolarity::kStuckAt0, FaultPolarity::kStuckAt1};
 
-/// Generated netlist + bound event simulator + bound bit-parallel
-/// simulator over the same pattern set (same recipe as sim_test's
+/// Generated netlist + bound event simulator + bit-parallel simulator
+/// over the event simulator's core (same recipe as sim_test's
 /// FaultSimFixture, so the two suites exercise comparable designs).
 struct BitParFixture {
   Netlist nl;
   SiteTable sites;
   FaultSimulator fsim;
-  NetlistArena arena;
-  BitParallelSimulator bp;
+  std::optional<BitParallelSimulator> bp;
   PatternSet v1, v2;
 
   explicit BitParFixture(std::uint64_t seed, std::size_t patterns = 96,
                          SimdTier tier = bitpar::resolve_tier())
-      : nl(make(seed)),
-        sites(nl),
-        fsim(nl, sites),
-        arena(nl, sites),
-        bp(arena, sites, tier) {
+      : nl(make(seed)), sites(nl), fsim(nl, sites) {
     Rng rng(seed + 100);
     v1 = PatternSet::random(nl.num_inputs(), patterns, rng);
     v2 = PatternSet::random(nl.num_inputs(), patterns, rng);
     fsim.bind(v1, v2);
-    bp.bind(fsim.good());
+    bp.emplace(fsim.core(), tier);
   }
 
   static Netlist make(std::uint64_t seed) {
@@ -252,8 +248,8 @@ TEST_P(BitParGolden, EverySiteEveryPolarityMatchesEventEngine) {
        base += bitpar::kMaxLanes) {
     const std::size_t count =
         std::min(bitpar::kMaxLanes, jobs.size() - base);
-    fx.bp.run(std::span<const InjectedFault>(jobs).subspan(base, count), ws,
-              res);
+    fx.bp->run(std::span<const InjectedFault>(jobs).subspan(base, count), ws,
+               res);
     machines.clear();
     for (std::size_t j = 0; j < count; ++j) {
       machines.push_back({jobs[base + j]});
@@ -299,7 +295,7 @@ TEST_P(BitParGolden, MultiFaultMachinesMatchEventEngine) {
 
   BitParallelSimulator::Workspace ws;
   BitParallelSimulator::BatchResult res;
-  fx.bp.run_machines(spans, ws, res);
+  fx.bp->run_machines(spans, ws, res);
   expect_lanes_match_event(fx, machines, res, "multi-fault");
 }
 
@@ -326,11 +322,11 @@ TEST(BitParallelSimulator, LaneResultsAreIndependentOfBatchSize) {
           (j * 7) % fx.sites.size());
       jobs.push_back({site, kPolarityCycle[j % 5]});
     }
-    fx.bp.run(jobs, ws, res);
+    fx.bp->run(jobs, ws, res);
     ASSERT_EQ(res.num_machines, batch);
     for (std::size_t j = 0; j < batch; ++j) {
       BitParallelSimulator::BatchResult solo;
-      fx.bp.run(std::span<const InjectedFault>(&jobs[j], 1), ws, solo);
+      fx.bp->run(std::span<const InjectedFault>(&jobs[j], 1), ws, solo);
       ASSERT_EQ(solo.detected_lane(0), res.detected_lane(j))
           << "batch " << batch << " lane " << j;
       solo.diff_of(0, solo_diff);
@@ -354,7 +350,7 @@ TEST_P(BitParTier, MatchesEventEngineOnPartialTailWords) {
   }
   for (const std::size_t patterns : {std::size_t{70}, std::size_t{128}}) {
     BitParFixture fx(53, patterns, tier);
-    ASSERT_EQ(fx.bp.tier(), tier);
+    ASSERT_EQ(fx.bp->tier(), tier);
     std::vector<InjectedFault> jobs;
     for (netlist::SiteId s = 0; s < fx.sites.size(); ++s) {
       jobs.push_back({s, kPolarityCycle[s % 5]});
@@ -366,8 +362,8 @@ TEST_P(BitParTier, MatchesEventEngineOnPartialTailWords) {
          base += bitpar::kMaxLanes) {
       const std::size_t count =
           std::min(bitpar::kMaxLanes, jobs.size() - base);
-      fx.bp.run(std::span<const InjectedFault>(jobs).subspan(base, count),
-                ws, res);
+      fx.bp->run(std::span<const InjectedFault>(jobs).subspan(base, count),
+                 ws, res);
       machines.clear();
       for (std::size_t j = 0; j < count; ++j) {
         machines.push_back({jobs[base + j]});

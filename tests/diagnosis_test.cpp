@@ -13,6 +13,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 namespace m3dfl::diag {
@@ -30,6 +31,7 @@ struct Fixture {
   ScanConfig scan;
   sim::FaultSimulator fsim;
   sim::PatternSet v1, v2;
+  sim::TwoVectorResult good;  ///< Netlist-major good machine, for references.
 
   explicit Fixture(std::uint64_t seed, std::size_t patterns = 128)
       : nl(make(seed)), sites(nl),
@@ -40,6 +42,7 @@ struct Fixture {
     v1 = sim::PatternSet::random(nl.num_inputs(), patterns, rng);
     v2 = sim::PatternSet::random(nl.num_inputs(), patterns, rng);
     fsim.bind(v1, v2);
+    good = sim::simulate_two_vector(nl, v1, v2);
   }
 
   static netlist::Netlist make(std::uint64_t seed) {
@@ -275,10 +278,10 @@ TEST(Diagnoser, MultiFaultParallelScoringBitIdentical) {
 }
 
 // Brute-force back-trace reference: a dense fan-in-cone bitset per
-// observation point, and every gate tested against every (sub-sampled)
-// failing response. The engine walks only the failing cones; the two must
-// pick the same suspects in the same order, which makes the scored
-// candidates — and so the reports — identical.
+// observation point, and every gate tested against every distinct
+// (sub-sampled) failing response. The engine walks only the failing cones;
+// the two must pick the same suspects in the same order, which makes the
+// scored candidates — and so the reports — identical.
 std::vector<GateId> reference_suspects(const Fixture& fx,
                                        const DiagnoserOptions& opts,
                                        const sim::FailureLog& log) {
@@ -312,13 +315,19 @@ std::vector<GateId> reference_suspects(const Fixture& fx,
     std::uint32_t pattern;
     std::vector<std::uint32_t> outputs;
   };
+  // Each distinct log entry is one response, at its first position.
   std::vector<Response> responses;
+  std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> seen;
   if (log.compacted) {
     for (const auto& f : log.cfails) {
+      if (!seen.insert({f.pattern, f.channel, f.cycle}).second) continue;
       responses.push_back({f.pattern, fx.scan.outputs_of(f.channel, f.cycle)});
     }
   } else {
-    for (const auto& f : log.fails) responses.push_back({f.pattern, {f.output}});
+    for (const auto& f : log.fails) {
+      if (!seen.insert({f.pattern, f.output, 0}).second) continue;
+      responses.push_back({f.pattern, {f.output}});
+    }
   }
   constexpr std::size_t kMaxResponses = 384;
   if (responses.size() > kMaxResponses) {
@@ -330,12 +339,10 @@ std::vector<GateId> reference_suspects(const Fixture& fx,
     responses = std::move(sampled);
   }
 
-  const sim::TwoVectorResult& good = fx.fsim.good();
   std::vector<std::uint32_t> count(n, 0);
   for (const Response& r : responses) {
     for (GateId g = 0; g < n; ++g) {
-      if (!opts.include_stuck_at &&
-          !((good.tr_word(g, r.pattern / sim::kWordBits) >>
+      if (!((fx.good.tr_word(g, r.pattern / sim::kWordBits) >>
              (r.pattern % sim::kWordBits)) & 1)) {
         continue;
       }
@@ -420,17 +427,13 @@ TEST(Diagnoser, ConeWalkMatchesDenseConeReference) {
   }
 
   for (bool multifault : {false, true}) {
-    for (bool stuck_at : {false, true}) {
-      DiagnoserOptions opts;
-      opts.multifault = multifault;
-      opts.include_stuck_at = stuck_at;
-      Diagnoser diag = fx.make_diagnoser(opts);
-      for (std::size_t i = 0; i < logs.size(); ++i) {
-        EXPECT_EQ(diag.suspect_gates(logs[i]),
-                  reference_suspects(fx, opts, logs[i]))
-            << "log " << i << " multifault=" << multifault
-            << " stuck_at=" << stuck_at;
-      }
+    DiagnoserOptions opts;
+    opts.multifault = multifault;
+    Diagnoser diag = fx.make_diagnoser(opts);
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+      EXPECT_EQ(diag.suspect_gates(logs[i]),
+                reference_suspects(fx, opts, logs[i]))
+          << "log " << i << " multifault=" << multifault;
     }
   }
 }
@@ -511,12 +514,8 @@ std::vector<Candidate> reference_scores(Fixture& fx, Diagnoser& diag,
   }
   if (sites.size() > opts.max_suspects) sites.resize(opts.max_suspects);
 
-  std::vector<FaultPolarity> polarities = {FaultPolarity::kSlowToRise,
-                                           FaultPolarity::kSlowToFall};
-  if (opts.include_stuck_at) {
-    polarities.push_back(FaultPolarity::kStuckAt0);
-    polarities.push_back(FaultPolarity::kStuckAt1);
-  }
+  const FaultPolarity polarities[] = {FaultPolarity::kSlowToRise,
+                                      FaultPolarity::kSlowToFall};
   const std::size_t W = fx.fsim.num_words();
   std::vector<Candidate> scored;
   std::vector<sim::Word> diff;
@@ -616,24 +615,20 @@ TEST(Diagnoser, TwoPhaseScoringMatchesFullSimulationReference) {
   }
 
   std::size_t compared = 0;
-  for (bool stuck_at : {false, true}) {
-    for (std::size_t threads : {1, 4}) {
-      DiagnoserOptions opts;
-      opts.keep_score_ratio = 0;
-      opts.min_score = 0;
-      opts.max_candidates = 1u << 30;  // The report is every scored site.
-      opts.include_stuck_at = stuck_at;
-      opts.num_threads = threads;
-      Diagnoser diag = fx.make_diagnoser(opts);
-      for (std::size_t i = 0; i < logs.size(); ++i) {
-        SCOPED_TRACE("log " + std::to_string(i) +
-                     " stuck_at=" + std::to_string(stuck_at) +
-                     " threads=" + std::to_string(threads));
-        DiagnosisReport want;
-        want.candidates = reference_scores(fx, diag, opts, logs[i]);
-        compared += want.candidates.size();
-        expect_reports_identical(diag.diagnose(logs[i]), want);
-      }
+  for (std::size_t threads : {1, 4}) {
+    DiagnoserOptions opts;
+    opts.keep_score_ratio = 0;
+    opts.min_score = 0;
+    opts.max_candidates = 1u << 30;  // The report is every scored site.
+    opts.num_threads = threads;
+    Diagnoser diag = fx.make_diagnoser(opts);
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+      SCOPED_TRACE("log " + std::to_string(i) +
+                   " threads=" + std::to_string(threads));
+      DiagnosisReport want;
+      want.candidates = reference_scores(fx, diag, opts, logs[i]);
+      compared += want.candidates.size();
+      expect_reports_identical(diag.diagnose(logs[i]), want);
     }
   }
   EXPECT_GT(compared, 200u);
@@ -641,31 +636,55 @@ TEST(Diagnoser, TwoPhaseScoringMatchesFullSimulationReference) {
 
 TEST(Diagnoser, RepeatedLogEntryLeavesReportUnchanged) {
   Fixture fx(105);
-  // Suspect gathering counts a repeated entry per repeat; with the strict
-  // intersection the suspects stay the same, so this isolates scoring.
-  DiagnoserOptions opts;
-  opts.single_fault_relax = 1.0;
-  Diagnoser diag = fx.make_diagnoser(opts);
   Rng rng(106);
-  int tested = 0;
-  for (int trial = 0; trial < 40 && tested < 12; ++trial) {
+  // Single- and multi-fault logs, bypass and compacted.
+  std::vector<sim::FailureLog> logs;
+  for (int trial = 0; trial < 40 && logs.size() < 12; ++trial) {
     const InjectedFault f{static_cast<SiteId>(rng.next_below(fx.sites.size())),
                           FaultPolarity::kSlow};
     for (bool compacted : {false, true}) {
-      const sim::FailureLog log = fx.inject(f, compacted);
-      if (log.empty()) continue;
+      sim::FailureLog log = fx.inject(f, compacted);
+      if (!log.empty()) logs.push_back(std::move(log));
+    }
+  }
+  ASSERT_GE(logs.size(), 8u);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<InjectedFault> faults;
+    for (int i = 0; i < 3; ++i) {
+      faults.push_back({static_cast<SiteId>(rng.next_below(fx.sites.size())),
+                        FaultPolarity::kSlow});
+    }
+    std::vector<sim::Word> diff;
+    if (!fx.fsim.observed_diff(faults, diff)) continue;
+    logs.push_back(sim::failure_log_from_diff(diff, fx.nl.num_outputs(),
+                                              fx.fsim.num_patterns()));
+    logs.push_back(compress::ResponseCompactor(fx.scan).failure_log_from_diff(
+        diff, fx.fsim.num_words(), fx.fsim.num_patterns()));
+  }
+
+  // The default relaxed floor, the strict intersection, and the
+  // multi-fault engine (whose suspects are ranked by response count).
+  DiagnoserOptions strict;
+  strict.single_fault_relax = 1.0;
+  DiagnoserOptions multi;
+  multi.multifault = true;
+  for (const DiagnoserOptions& opts : {DiagnoserOptions{}, strict, multi}) {
+    Diagnoser diag = fx.make_diagnoser(opts);
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+      SCOPED_TRACE("log " + std::to_string(i) +
+                   " multifault=" + std::to_string(opts.multifault) +
+                   " relax=" + std::to_string(opts.single_fault_relax));
+      const sim::FailureLog& log = logs[i];
       sim::FailureLog rep = log;
-      if (compacted) {
+      if (log.compacted) {
         rep.cfails.push_back(rep.cfails.front());
       } else {
         rep.fails.push_back(rep.fails.front());
       }
       ASSERT_EQ(diag.suspect_gates(rep), diag.suspect_gates(log));
-      ++tested;
       expect_reports_identical(diag.diagnose(rep), diag.diagnose(log));
     }
   }
-  EXPECT_GE(tested, 8);
 }
 
 // --- Report metrics -----------------------------------------------------------

@@ -43,7 +43,7 @@ struct Fixture {
     auto v1 = sim::PatternSet::random(nl.num_inputs(), patterns, rng);
     auto v2 = sim::PatternSet::random(nl.num_inputs(), patterns, rng);
     fsim.bind(v1, v2);
-    graph.bind_transitions(fsim.good());
+    graph.bind_transitions(fsim.core());
   }
 
   static Netlist make(std::uint64_t seed) {
@@ -175,10 +175,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TopedgeProperty,
 
 TEST(HeteroGraph, TpatMatchesPopcount) {
   Fixture fx(8);
-  const auto& good = fx.fsim.good();
   for (netlist::SiteId n = 0; n < fx.graph.num_nodes(); n += 13) {
     std::uint32_t count = 0;
-    for (std::uint32_t p = 0; p < good.num_patterns; ++p) {
+    for (std::uint32_t p = 0; p < fx.fsim.num_patterns(); ++p) {
       count += fx.graph.transitions_at(n, p);
     }
     EXPECT_EQ(fx.graph.tpat(n), count);

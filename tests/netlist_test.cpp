@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "netlist/fault_site.h"
@@ -156,6 +157,9 @@ struct GenCase {
   std::uint32_t scan_cells;
   std::uint64_t seed;
 };
+// GoogleTest names these cases from the parameter's raw bytes; without
+// padding bytes those names are the same in every build.
+static_assert(std::has_unique_object_representations_v<GenCase>);
 
 class GeneratorProperty : public ::testing::TestWithParam<GenCase> {};
 

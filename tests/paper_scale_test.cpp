@@ -3,7 +3,7 @@
 // fault-dictionary campaigns bit-identical to unpartitioned ones across
 // backends and thread counts, out-of-core (spilled) lookups identical to
 // in-memory ones, the datagen + parallel-diagnosis flow end-to-end, and the
-// Diagnoser's per-design memory footprint.
+// per-worker memory footprints of the Diagnoser and the fault simulator.
 //
 // Everything heavier than the generator runs against one process-cached
 // m3d100k design, so the binary stays within the suite's slowest-test
@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -27,8 +28,8 @@
 #include "partition/hier.h"
 
 // paper_scale_test is its own binary, so replacing the global allocator here
-// is safe. The byte counter lets DiagnoserFootprintIsPerGateScratchOnly
-// measure what a Diagnoser allocates instead of trusting its layout.
+// is safe. The byte counter lets the footprint tests measure what a
+// Diagnoser or a simulator workspace allocates instead of trusting layouts.
 namespace {
 std::atomic<std::size_t> g_alloc_bytes{0};
 }  // namespace
@@ -245,6 +246,39 @@ TEST(PaperScale, DiagnoserFootprintIsPerGateScratchOnly) {
       g_alloc_bytes.load(std::memory_order_relaxed) - before;
   EXPECT_LE(bytes, 8 * d.nl.num_gates())
       << bytes << " bytes for " << d.nl.num_gates() << " gates";
+}
+
+// Every FaultSimulator of a design is a workspace over the design's one
+// SimCore: building one for a serving worker or a campaign shard, or
+// cloning one, copies no good-machine row and no per-gate table fixed
+// after bind, so it allocates less than one good-machine row set.
+TEST(PaperScale, WorkerCostsOnlyItsWorkspace) {
+  eval::Design& d = design();
+  const std::size_t row_set =
+      3 * d.nl.num_gates() * d.core->num_words() * sizeof(sim::Word);
+  std::size_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+  const auto built = std::make_unique<sim::FaultSimulator>(d.core);
+  const std::size_t built_bytes =
+      g_alloc_bytes.load(std::memory_order_relaxed) - before;
+  before = g_alloc_bytes.load(std::memory_order_relaxed);
+  const auto cloned = d.fsim->clone();
+  const std::size_t cloned_bytes =
+      g_alloc_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(built_bytes, row_set) << "row set " << row_set << " bytes";
+  EXPECT_LT(cloned_bytes, row_set) << "row set " << row_set << " bytes";
+  EXPECT_EQ(&built->core(), d.core.get());
+  EXPECT_EQ(&cloned->core(), &built->core());
+
+  // The workspaces simulate exactly like the design's own simulator.
+  std::vector<sim::Word> want, got;
+  for (netlist::SiteId s = 0; s < d.sites.size(); s += d.sites.size() / 16) {
+    const sim::InjectedFault f{s, sim::FaultPolarity::kSlow};
+    d.fsim->observed_diff(f, want);
+    built->observed_diff(f, got);
+    EXPECT_EQ(got, want) << "site " << s;
+    cloned->observed_diff(f, got);
+    EXPECT_EQ(got, want) << "site " << s;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <new>
 #include <tuple>
 
@@ -250,6 +251,7 @@ struct FaultSimFixture {
   SiteTable sites;
   FaultSimulator fsim;
   PatternSet v1, v2;
+  TwoVectorResult good;  ///< Netlist-major good machine, for references.
 
   explicit FaultSimFixture(std::uint64_t seed, std::size_t patterns = 96)
       : nl(make(seed)), sites(nl), fsim(nl, sites) {
@@ -257,6 +259,7 @@ struct FaultSimFixture {
     v1 = PatternSet::random(nl.num_inputs(), patterns, rng);
     v2 = PatternSet::random(nl.num_inputs(), patterns, rng);
     fsim.bind(v1, v2);
+    good = simulate_two_vector(nl, v1, v2);
   }
 
   static Netlist make(std::uint64_t seed) {
@@ -388,7 +391,7 @@ TEST_P(EventDrivenVsReference, StemFaultDiffsAgree) {
         site, rng.bernoulli(0.5) ? FaultPolarity::kSlowToRise
                                  : FaultPolarity::kSlowToFall};
     fx.fsim.observed_diff(f, diff);
-    const auto ref = reference_diff(fx.nl, fx.sites, fx.fsim.good(), f);
+    const auto ref = reference_diff(fx.nl, fx.sites, fx.good, f);
     ASSERT_EQ(diff.size(), ref.size());
     for (std::size_t i = 0; i < diff.size(); ++i) {
       ASSERT_EQ(diff[i], ref[i]) << "site " << site << " index " << i;
@@ -408,7 +411,7 @@ TEST_P(EventDrivenVsReference, BranchFaultDiffsAgree) {
         site, rng.bernoulli(0.5) ? FaultPolarity::kSlowToRise
                                  : FaultPolarity::kSlowToFall};
     fx.fsim.observed_diff(f, diff);
-    const auto ref = reference_diff(fx.nl, fx.sites, fx.fsim.good(), f);
+    const auto ref = reference_diff(fx.nl, fx.sites, fx.good, f);
     for (std::size_t i = 0; i < diff.size(); ++i) {
       ASSERT_EQ(diff[i], ref[i]) << "site " << site << " index " << i;
     }
@@ -577,7 +580,7 @@ TEST_P(GoldenEquivalence, AllPolaritiesSingleFault) {
         static_cast<netlist::SiteId>(rng.next_below(fx.sites.size()));
     const InjectedFault f{site, kPolarityCycle[trial % 5]};
     const bool detected = fx.fsim.observed_diff(f, diff);
-    const auto ref = reference_diff_multi(fx.nl, fx.sites, fx.fsim.good(),
+    const auto ref = reference_diff_multi(fx.nl, fx.sites, fx.good,
                                           std::span(&f, 1));
     ASSERT_EQ(diff_hash(diff), diff_hash(ref))
         << "site " << site << " polarity " << polarity_name(f.polarity);
@@ -615,7 +618,7 @@ TEST_P(GoldenEquivalence, MultiFaultSeeds) {
     ASSERT_EQ(faults.size(), k);
     const bool detected = fx.fsim.observed_diff(faults, diff);
     const auto ref =
-        reference_diff_multi(fx.nl, fx.sites, fx.fsim.good(), faults);
+        reference_diff_multi(fx.nl, fx.sites, fx.good, faults);
     ASSERT_EQ(diff_hash(diff), diff_hash(ref)) << "trial " << trial;
     ASSERT_EQ(diff, ref);
     const bool ref_detected =
@@ -654,6 +657,50 @@ TEST(SimStats, ClonesStartAtZeroAndTakeStatsFlushes) {
 
   // The source's counters are untouched by its clones.
   EXPECT_GT(fx.fsim.sim_stats().observed_diff_calls, 0u);
+}
+
+// Every simulator is a workspace over a shared SimCore: clones and
+// simulators built from the core read the same object, and a workspace
+// re-bound to another core of the same arena (the ATPG top-off binds one
+// per pattern block) simulates that core's patterns exactly, then the
+// first core's again once re-bound back.
+TEST(FaultSimulator, WorkspacesShareTheCoreAndRebindExactly) {
+  FaultSimFixture fx(78);
+  const std::shared_ptr<const SimCore> first = fx.fsim.shared_core();
+  EXPECT_EQ(&fx.fsim.clone()->core(), first.get());
+  EXPECT_EQ(&FaultSimulator(first).core(), first.get());
+
+  Rng rng(79);
+  const PatternSet w1 = PatternSet::random(fx.nl.num_inputs(), 130, rng);
+  const PatternSet w2 = PatternSet::random(fx.nl.num_inputs(), 130, rng);
+  const TwoVectorResult other_good = simulate_two_vector(fx.nl, w1, w2);
+  const auto other =
+      std::make_shared<const SimCore>(first->shared_arena(), other_good);
+  // A stem site, a branch site and a multi-fault machine at distinct gates.
+  netlist::SiteId stem = 0, branch = 0;
+  while (!fx.sites.site(stem).is_stem()) ++stem;
+  while (fx.sites.site(branch).is_stem() ||
+         fx.sites.site(branch).gate == fx.sites.site(stem).gate) {
+    ++branch;
+  }
+  const std::vector<std::vector<InjectedFault>> machines = {
+      {{stem, FaultPolarity::kSlowToRise}},
+      {{branch, FaultPolarity::kSlowToFall}},
+      {{stem, FaultPolarity::kSlow}, {branch, FaultPolarity::kStuckAt1}}};
+  std::vector<Word> diff;
+  using Binding = std::pair<std::shared_ptr<const SimCore>,
+                            const TwoVectorResult*>;
+  for (const auto& [core, good] :
+       {Binding{other, &other_good}, Binding{first, &fx.good}}) {
+    fx.fsim.bind(core);
+    ASSERT_EQ(&fx.fsim.core(), core.get());
+    for (const auto& faults : machines) {
+      fx.fsim.observed_diff(faults, diff);
+      EXPECT_EQ(diff, reference_diff_multi(fx.nl, fx.sites, *good, faults))
+          << core->num_patterns() << " patterns, " << faults.size()
+          << " fault(s)";
+    }
+  }
 }
 
 TEST(FaultSimulator, TouchedOutputsDuplicateFreeAndComplete) {
@@ -699,7 +746,7 @@ TEST(FaultSimulator, DetectsAgreesWithObservedDiff) {
                           << polarity_name(f.polarity);
     // Compare against the engine-independent reference: an engine-vs-engine
     // check alone would miss residue that corrupts both calls identically.
-    const auto ref = reference_diff_multi(fx.nl, fx.sites, fx.fsim.good(),
+    const auto ref = reference_diff_multi(fx.nl, fx.sites, fx.good,
                                           std::span(&f, 1));
     ASSERT_EQ(diff, ref) << "workspace residue after detects(), site "
                          << site;

@@ -1,6 +1,5 @@
-// Tests of the stuck-at fault model: simulation semantics, PODEM test
-// generation, and end-to-end diagnosis (the fault-model-agnostic pipeline
-// working outside the paper's TDF setting).
+// Tests of the stuck-at fault model: simulation semantics, fault
+// enumeration and PODEM test generation (the ATPG side of the model).
 
 #include <gtest/gtest.h>
 
@@ -9,8 +8,8 @@
 #include "atpg/coverage.h"
 #include "atpg/podem.h"
 #include "common/rng.h"
-#include "diagnosis/diagnoser.h"
 #include "netlist/generators.h"
+#include "sim/fault_sim.h"
 
 namespace m3dfl {
 namespace {
@@ -26,6 +25,7 @@ struct Fixture {
   Netlist nl;
   SiteTable sites;
   sim::FaultSimulator fsim;
+  sim::TwoVectorResult good;  ///< Netlist-major good machine, for references.
 
   explicit Fixture(std::uint64_t seed) : nl(make(seed)), sites(nl),
                                          fsim(nl, sites) {
@@ -33,6 +33,7 @@ struct Fixture {
     auto v1 = sim::PatternSet::random(nl.num_inputs(), 96, rng);
     auto v2 = sim::PatternSet::random(nl.num_inputs(), 96, rng);
     fsim.bind(v1, v2);
+    good = sim::simulate_two_vector(nl, v1, v2);
   }
 
   static Netlist make(std::uint64_t seed) {
@@ -46,7 +47,7 @@ struct Fixture {
 
 TEST(StuckAt, ActivationCoversExactlyTheOppositeValue) {
   Fixture fx(301);
-  const auto& good = fx.fsim.good();
+  const auto& good = fx.good;
   const std::size_t W = good.num_words;
   for (netlist::SiteId s = 0; s < fx.sites.size(); s += 37) {
     const GateId drv = fx.sites.site(s).driver;
@@ -68,7 +69,7 @@ TEST(StuckAt, ActivationCoversExactlyTheOppositeValue) {
 /// Brute-force stuck-at re-simulation: force the site's signal to the stuck
 /// constant on every pattern (stem: pin the gate; branch: override the one
 /// pin) and fully re-evaluate the V2 frame in topo order. Independent of the
-/// event-driven engine's cone pruning, epoch restore, and early exit.
+/// event-driven engine's cone pruning, workspace restore, and early exit.
 std::vector<sim::Word> stuck_reference_diff(const Netlist& nl,
                                             const SiteTable& sites,
                                             const sim::TwoVectorResult& good,
@@ -151,7 +152,7 @@ TEST(StuckAt, EventDrivenMatchesReferenceResimulation) {
                                                : FaultPolarity::kStuckAt1};
     (fx.sites.site(site).is_stem() ? stems : branches) += 1;
     const bool detected = fx.fsim.observed_diff(f, diff);
-    const auto ref = stuck_reference_diff(fx.nl, fx.sites, fx.fsim.good(), f);
+    const auto ref = stuck_reference_diff(fx.nl, fx.sites, fx.good, f);
     ASSERT_EQ(diff, ref) << "site " << site << " "
                          << sim::polarity_name(f.polarity);
     const bool ref_detected = std::any_of(
@@ -221,38 +222,6 @@ TEST(StuckAt, PodemGeneratesSingleFrameTests) {
         << "PODEM stuck-at pattern must detect, site " << site;
   }
   EXPECT_GE(generated, 10);
-}
-
-TEST(StuckAt, DiagnosisLocatesStuckSites) {
-  // With include_stuck_at the engine hypothesizes SA0/SA1 alongside the
-  // TDF polarities and lifts the suspect transition requirement, so
-  // stuck-at failure logs are diagnosed natively.
-  Fixture fx(306);
-  const atpg::ScanConfig scan = atpg::ScanConfig::make(
-      static_cast<std::uint32_t>(fx.nl.num_outputs()), 8, 4);
-  diag::DiagnoserOptions opts;
-  opts.include_stuck_at = true;
-  diag::Diagnoser diagnoser(fx.nl, fx.sites, scan, opts);
-  diagnoser.bind(fx.fsim);
-
-  Rng rng(307);
-  std::vector<sim::Word> diff;
-  int tested = 0, hits = 0;
-  for (int trial = 0; trial < 40 && tested < 12; ++trial) {
-    const auto site =
-        static_cast<netlist::SiteId>(rng.next_below(fx.sites.size()));
-    const InjectedFault fault{site, FaultPolarity::kStuckAt0};
-    if (!fx.fsim.observed_diff(fault, diff)) continue;
-    ++tested;
-    const auto log = sim::failure_log_from_diff(diff, fx.nl.num_outputs(),
-                                                fx.fsim.num_patterns());
-    const auto report = diagnoser.diagnose(log);
-    hits += report.hits_any({&site, 1});
-  }
-  EXPECT_GE(tested, 8);
-  // With the stuck-at hypotheses enabled the injected site reproduces its
-  // signature exactly and must be found essentially always.
-  EXPECT_GE(hits + 1, tested);
 }
 
 }  // namespace
