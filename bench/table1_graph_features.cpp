@@ -3,9 +3,45 @@
 // not just listed).
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/table.h"
 #include "eval/benchmarks.h"
+
+namespace {
+
+using m3dfl::graphx::HeteroGraph;
+using m3dfl::netlist::SiteId;
+
+/// The Topedge from Topnode 0 to the farthest node of its fan-in cone, by
+/// backward BFS (the graph keeps only per-node Topedge sums).
+struct TopedgeSample {
+  SiteId node = 0;
+  std::uint32_t dist = 0;  ///< D_top.
+  std::uint32_t nmiv = 0;  ///< N_MIV.
+};
+
+TopedgeSample farthest_topedge(const HeteroGraph& g) {
+  const SiteId root = g.topnode_root(0);
+  std::vector<std::uint32_t> dist(g.num_nodes(), 0xffffffffu);
+  std::vector<std::uint32_t> nmiv(g.num_nodes(), 0);
+  std::vector<SiteId> queue{root};
+  dist[root] = 0;
+  nmiv[root] = g.node(root).is_miv;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    for (SiteId v : g.in_neighbors(queue[i])) {
+      if (dist[v] != 0xffffffffu) continue;
+      dist[v] = dist[queue[i]] + 1;
+      nmiv[v] = nmiv[queue[i]] + g.node(v).is_miv;
+      queue.push_back(v);
+    }
+  }
+  const SiteId far = queue.back();
+  return {far, dist[far], nmiv[far]};
+}
+
+}  // namespace
 
 int main() {
   using namespace m3dfl;
@@ -19,7 +55,9 @@ int main() {
   const netlist::SiteId node = g.num_nodes() / 2;
   const auto& st = g.node(node);
   const auto& agg = g.top_agg(node);
-  const auto topedge = g.topedges_of(0);
+  const TopedgeSample topedge = farthest_topedge(g);
+  const std::string edge_example =
+      "Topnode 0 -> node " + std::to_string(topedge.node) + ": ";
 
   TablePrinter t;
   t.set_header({"Symbol", "Granularity", "Object", "Description",
@@ -42,14 +80,15 @@ int main() {
              "Whether it connects to an MIV", st.connects_miv ? "yes" : "no"});
   t.add_row({"D_top", "Top-level", "Edge",
              "Shortest distance between both ends",
-             topedge.empty() ? "-" : std::to_string(topedge.front().dist)});
+             edge_example + std::to_string(topedge.dist)});
   t.add_row({"N_MIV", "Top-level", "Edge",
              "Number of MIVs passed through",
-             topedge.empty() ? "-" : std::to_string(topedge.front().nmiv)});
+             edge_example + std::to_string(topedge.nmiv)});
   t.print();
 
   std::printf("\nlive graph: %zu nodes, %zu circuit edges, %zu Topnodes, "
-              "%zu Topedges (O(V+E) construction)\n",
+              "%zu Topedges (one O(V+E) BFS per Topnode; only per-node "
+              "sums kept)\n",
               g.num_nodes(), g.num_edges(), g.num_topnodes(),
               g.num_topedges());
   return 0;

@@ -75,7 +75,8 @@ TdfPatternPair generate_tdf_patterns_with_topoff(
     return std::make_shared<const sim::SimCore>(
         arena, sim::simulate_two_vector(nl, a, b));
   };
-  sim::FaultSimulator fsim(core_of(v1, v2));
+  std::shared_ptr<const sim::SimCore> base_core = core_of(v1, v2);
+  sim::FaultSimulator fsim(base_core);
   std::vector<sim::InjectedFault> pending = enumerate_tdf_faults(sites);
   const std::size_t total_faults = pending.size();
   std::size_t detected = 0;
@@ -160,6 +161,7 @@ TdfPatternPair generate_tdf_patterns_with_topoff(
     targets = std::move(still);
   }
 
+  pair.core = added == 0 ? std::move(base_core) : core_of(v1, v2);
   pair.v1 = std::move(v1);
   pair.v2 = std::move(v2);
   pair.num_topoff = added;

@@ -7,6 +7,7 @@
 #include "netlist/netlist.h"
 #include "sim/bitpar/arena.h"
 #include "sim/logic_sim.h"
+#include "sim/sim_core.h"
 
 namespace m3dfl::atpg {
 
@@ -41,6 +42,10 @@ struct TdfPatternPair {
   /// Test coverage in the commercial-tool sense: detected / testable
   /// (untestable faults excluded from the denominator).
   double test_coverage = 0.0;
+  /// Good machine of (v1, v2) over the arena. With no top-off pattern it is
+  /// the core the random-base fault-dropping pass simulated on, so the
+  /// pattern set is simulated once per build.
+  std::shared_ptr<const sim::SimCore> core;
 };
 
 /// Full ATPG flow: weighted-random base patterns with fault-dropping

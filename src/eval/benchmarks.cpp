@@ -198,78 +198,100 @@ std::unique_ptr<Design> build_design(const BenchmarkSpec& spec, Config config,
 
   // 1. "Synthesis": the base 2D netlist, shared by every configuration of
   // the benchmark, then transformed per configuration.
-  Netlist base = netlist::generate_netlist(spec.gen);
-  switch (config) {
-    case Config::kSyn2:
-      base = netlist::resynthesize(base, derive_seed(spec.seed, 21));
-      break;
-    case Config::kTPI:
-      base = netlist::insert_test_points(base, 0.01,
-                                         derive_seed(spec.seed, 22));
-      break;
-    default:
-      break;
+  Netlist base;
+  {
+    M3DFL_OBS_SPAN(netlist_span, "design.netlist");
+    base = netlist::generate_netlist(spec.gen);
+    switch (config) {
+      case Config::kSyn2:
+        base = netlist::resynthesize(base, derive_seed(spec.seed, 21));
+        break;
+      case Config::kTPI:
+        base = netlist::insert_test_points(base, 0.01,
+                                           derive_seed(spec.seed, 22));
+        break;
+      default:
+        break;
+    }
   }
 
   // 2. 3D partitioning + MIV insertion.
-  part::PartitionOptions popts;
-  popts.seed = derive_seed(spec.seed, 31 + partition_seed);
-  switch (config) {
-    case Config::kPar:
-      popts.algo = part::PartitionAlgo::kGreedyGain;
-      break;
-    case Config::kRandomPart:
-      popts.algo = part::PartitionAlgo::kRandom;
-      break;
-    default:
-      popts.algo = part::PartitionAlgo::kMinCut;
-      break;
+  {
+    M3DFL_OBS_SPAN(partition_span, "design.partition");
+    part::PartitionOptions popts;
+    popts.seed = derive_seed(spec.seed, 31 + partition_seed);
+    switch (config) {
+      case Config::kPar:
+        popts.algo = part::PartitionAlgo::kGreedyGain;
+        break;
+      case Config::kRandomPart:
+        popts.algo = part::PartitionAlgo::kRandom;
+        break;
+      default:
+        popts.algo = part::PartitionAlgo::kMinCut;
+        break;
+    }
+    const part::PartitionResult part2d = part::partition_netlist(base, popts);
+    part::MivInsertionResult m3d = part::insert_mivs(base, part2d);
+    d->nl = std::move(m3d.netlist);
+    d->sites = netlist::SiteTable(d->nl);
+    d->part.tier_of_gate.assign(d->nl.num_gates(), netlist::Tier::kBottom);
+    for (netlist::GateId g = 0; g < d->nl.num_gates(); ++g) {
+      d->part.tier_of_gate[g] = d->nl.gate(g).tier;
+    }
+    part::update_cut_stats(d->nl, d->part);
   }
-  const part::PartitionResult part2d = part::partition_netlist(base, popts);
-  part::MivInsertionResult m3d = part::insert_mivs(base, part2d);
-  d->nl = std::move(m3d.netlist);
-  d->sites = netlist::SiteTable(d->nl);
-  d->part.tier_of_gate.assign(d->nl.num_gates(), netlist::Tier::kBottom);
-  for (netlist::GateId g = 0; g < d->nl.num_gates(); ++g) {
-    d->part.tier_of_gate[g] = d->nl.gate(g).tier;
-  }
-  part::update_cut_stats(d->nl, d->part);
-  // The design's one arena: ATPG top-off and the simulation core share it.
-  const auto arena =
-      std::make_shared<const sim::bitpar::NetlistArena>(d->nl, d->sites);
 
   // 3. Scan + TDF pattern generation (regenerated per configuration, as in
-  // the paper's flow).
-  d->scan = atpg::ScanConfig::make(
-      static_cast<std::uint32_t>(d->nl.num_outputs()), spec.num_chains,
-      spec.compaction_ratio);
-  atpg::PatternGenOptions pgen;
-  pgen.num_patterns = spec.num_patterns;
-  pgen.seed = derive_seed(spec.seed, 41 + static_cast<std::uint64_t>(config));
-  if (spec.enhanced_scan) {
-    atpg::TdfPatternPair pair = atpg::generate_tdf_patterns_with_topoff(
-        arena, d->sites, pgen, spec.max_topoff_patterns);
-    d->patterns = std::move(pair.v1);
-    d->patterns_v2 = std::move(pair.v2);
-    d->atpg_coverage = pair.coverage;
-    d->test_coverage = pair.test_coverage;
-    d->num_topoff_patterns = pair.num_topoff;
-  } else {
-    d->patterns = atpg::generate_tdf_patterns(d->nl, pgen);
+  // the paper's flow). The design's one arena is built here: ATPG's
+  // fault-dropping passes and the simulation core share it, and with
+  // enhanced scan ATPG hands back the core of the final pattern set.
+  std::shared_ptr<const sim::bitpar::NetlistArena> arena;
+  {
+    M3DFL_OBS_SPAN(atpg_span, "design.atpg");
+    arena = std::make_shared<const sim::bitpar::NetlistArena>(d->nl, d->sites);
+    d->scan = atpg::ScanConfig::make(
+        static_cast<std::uint32_t>(d->nl.num_outputs()), spec.num_chains,
+        spec.compaction_ratio);
+    atpg::PatternGenOptions pgen;
+    pgen.num_patterns = spec.num_patterns;
+    pgen.seed =
+        derive_seed(spec.seed, 41 + static_cast<std::uint64_t>(config));
+    if (spec.enhanced_scan) {
+      atpg::TdfPatternPair pair = atpg::generate_tdf_patterns_with_topoff(
+          arena, d->sites, pgen, spec.max_topoff_patterns);
+      d->patterns = std::move(pair.v1);
+      d->patterns_v2 = std::move(pair.v2);
+      d->core = std::move(pair.core);
+      d->atpg_coverage = pair.coverage;
+      d->test_coverage = pair.test_coverage;
+      d->num_topoff_patterns = pair.num_topoff;
+    } else {
+      d->patterns = atpg::generate_tdf_patterns(d->nl, pgen);
+    }
   }
 
-  // 4. Good-machine simulation + heterogeneous graph (feature
+  // 4. Good-machine simulation (launch-off-capture only; enhanced scan
+  // took its core from ATPG) and the design's simulator workspace.
+  {
+    M3DFL_OBS_SPAN(core_span, "design.core");
+    if (!d->core) {
+      d->core = std::make_shared<const sim::SimCore>(
+          arena, sim::simulate_launch_off_capture(d->nl, d->patterns));
+    }
+    d->fsim = std::make_unique<sim::FaultSimulator>(d->core);
+  }
+
+  // 5. Heterogeneous graph with its transitions bound (feature
   // construction; timed for Table IX).
-  const auto t0 = std::chrono::steady_clock::now();
-  d->core = std::make_shared<const sim::SimCore>(
-      arena, spec.enhanced_scan
-                 ? sim::simulate_two_vector(d->nl, d->patterns, d->patterns_v2)
-                 : sim::simulate_launch_off_capture(d->nl, d->patterns));
-  d->fsim = std::make_unique<sim::FaultSimulator>(d->core);
-  d->graph = std::make_unique<graphx::HeteroGraph>(d->nl, d->sites);
-  d->graph->bind_transitions(*d->core);
-  const auto t1 = std::chrono::steady_clock::now();
-  d->graph_build_seconds = std::chrono::duration<double>(t1 - t0).count();
+  {
+    M3DFL_OBS_SPAN(graph_span, "design.graph");
+    const auto t0 = std::chrono::steady_clock::now();
+    d->graph = std::make_unique<graphx::HeteroGraph>(d->nl, d->sites);
+    d->graph->bind_transitions(*d->core);
+    const auto t1 = std::chrono::steady_clock::now();
+    d->graph_build_seconds = std::chrono::duration<double>(t1 - t0).count();
+  }
 
   assert(d->nl.validate().empty());
   return d;

@@ -99,7 +99,9 @@ struct Design {
   std::unique_ptr<sim::FaultSimulator> fsim;   ///< Workspace over `core`.
   std::unique_ptr<graphx::HeteroGraph> graph;  ///< Transitions bound.
 
-  double graph_build_seconds = 0.0;  ///< Feature-construction time (T. IX).
+  /// Feature-construction time (T. IX): HeteroGraph construction plus Tpat
+  /// binding. The good machine it reads is ATPG's, so it is not included.
+  double graph_build_seconds = 0.0;
   double atpg_coverage = 0.0;  ///< Raw TDF coverage (all faults).
   double test_coverage = 0.0;  ///< Coverage over testable faults (the
                                ///< figure commercial tools report).

@@ -11,20 +11,25 @@ std::vector<SiteId> backtrace(const HeteroGraph& graph, const FailureLog& log,
   assert(graph.has_transitions());
   if (log.empty()) return {};
 
+  // Failing responses as (Topnode set, pattern), one per log entry. The set
+  // is one output in bypass mode and one compactor cell, (channel << 32) |
+  // cycle, in compacted mode.
   struct Response {
+    std::uint64_t obs;
     std::uint32_t pattern;
-    std::vector<std::uint32_t> topnodes;
   };
   std::vector<Response> responses;
   if (log.compacted) {
     responses.reserve(log.cfails.size());
     for (const FailureLog::CObs& f : log.cfails) {
-      responses.push_back({f.pattern, scan.outputs_of(f.channel, f.cycle)});
+      responses.push_back(
+          {(static_cast<std::uint64_t>(f.channel) << 32) | f.cycle,
+           f.pattern});
     }
   } else {
     responses.reserve(log.fails.size());
     for (const FailureLog::Obs& f : log.fails) {
-      responses.push_back({f.pattern, {f.output}});
+      responses.push_back({f.output, f.pattern});
     }
   }
   if (responses.size() > opts.max_responses) {
@@ -33,38 +38,80 @@ std::vector<SiteId> backtrace(const HeteroGraph& graph, const FailureLog& log,
     const double stride =
         static_cast<double>(responses.size()) / opts.max_responses;
     for (std::size_t i = 0; i < opts.max_responses; ++i) {
-      sampled.push_back(
-          std::move(responses[static_cast<std::size_t>(i * stride)]));
+      sampled.push_back(responses[static_cast<std::size_t>(i * stride)]);
     }
     responses = std::move(sampled);
   }
+  const auto all = static_cast<std::uint32_t>(responses.size());
 
-  // count[n]: responses whose suspect union contains node n; last_seen
-  // dedups per response (a node may sit in several Topnode cones).
-  std::vector<std::uint32_t> count(graph.num_nodes(), 0);
-  std::vector<std::uint32_t> last_seen(graph.num_nodes(), 0xffffffffu);
-  for (std::uint32_t r = 0; r < responses.size(); ++r) {
-    const Response& resp = responses[r];
-    for (std::uint32_t t : resp.topnodes) {
-      for (const HeteroGraph::TopEdge& te : graph.topedges_of(t)) {
-        if (last_seen[te.node] == r) continue;
-        if (!graph.transitions_at(te.node, resp.pattern)) continue;
-        last_seen[te.node] = r;
-        ++count[te.node];
+  // count[n]: responses whose suspect union contains node n, i.e. n lies in
+  // the fan-in cone of one of the response's Topnodes and switches under
+  // its pattern. Responses sharing a Topnode set share one breadth-first
+  // walk of the cone union over in_neighbors(); `walk` doubles as the queue
+  // and the visited list, and mark[n] holds the 1-based index of the last
+  // group that reached n. Only walked nodes can count, so `touched` lists
+  // every node with a nonzero count.
+  std::sort(responses.begin(), responses.end(),
+            [](const Response& a, const Response& b) { return a.obs < b.obs; });
+  const std::size_t n = graph.num_nodes();
+  std::vector<std::uint32_t> count(n, 0), mark(n, 0);
+  std::vector<SiteId> walk, touched;
+  std::vector<std::uint32_t> topnodes;
+  std::uint32_t group = 0;
+  for (std::size_t lo = 0, hi; lo < responses.size(); lo = hi) {
+    hi = lo;
+    while (hi < responses.size() && responses[hi].obs == responses[lo].obs) {
+      ++hi;
+    }
+    const std::uint64_t obs = responses[lo].obs;
+    if (log.compacted) {
+      topnodes = scan.outputs_of(static_cast<std::uint32_t>(obs >> 32),
+                                 static_cast<std::uint32_t>(obs));
+    } else {
+      topnodes.assign(1, static_cast<std::uint32_t>(obs));
+    }
+
+    ++group;
+    walk.clear();
+    for (std::uint32_t t : topnodes) {
+      const SiteId root = graph.topnode_root(t);
+      if (mark[root] == group) continue;
+      mark[root] = group;
+      walk.push_back(root);
+    }
+    for (std::size_t i = 0; i < walk.size(); ++i) {
+      for (SiteId v : graph.in_neighbors(walk[i])) {
+        if (mark[v] == group) continue;
+        mark[v] = group;
+        walk.push_back(v);
       }
+    }
+
+    for (SiteId v : walk) {
+      const sim::Word* tr = graph.transitions(v).data();
+      std::uint32_t add = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        const std::uint32_t p = responses[i].pattern;
+        add += (tr[p / sim::kWordBits] >> (p % sim::kWordBits)) & 1;
+      }
+      if (add == 0) continue;
+      if (count[v] == 0) touched.push_back(v);
+      count[v] += add;
     }
   }
 
-  const auto all = static_cast<std::uint32_t>(responses.size());
+  // Candidates in ascending node order, as a scan over all nodes would
+  // give; a node no walk reached has count 0 and passes no rule below.
+  std::sort(touched.begin(), touched.end());
   std::vector<SiteId> candidates;
-  for (SiteId n = 0; n < graph.num_nodes(); ++n) {
-    if (count[n] == all) candidates.push_back(n);
+  for (SiteId v : touched) {
+    if (count[v] == all) candidates.push_back(v);
   }
   if (candidates.empty()) {
     const auto floor_count = std::max<std::uint32_t>(
         1, static_cast<std::uint32_t>(opts.relax_fraction * all));
-    for (SiteId n = 0; n < graph.num_nodes(); ++n) {
-      if (count[n] >= floor_count) candidates.push_back(n);
+    for (SiteId v : touched) {
+      if (count[v] >= floor_count) candidates.push_back(v);
     }
   }
   if (candidates.empty()) {
@@ -72,11 +119,9 @@ std::vector<SiteId> backtrace(const HeteroGraph& graph, const FailureLog& log,
     // only its own share of the responses); keep the best-explaining nodes
     // so the sub-graph is never empty for a non-empty log.
     std::uint32_t best = 0;
-    for (SiteId n = 0; n < graph.num_nodes(); ++n) {
-      best = std::max(best, count[n]);
-    }
-    for (SiteId n = 0; n < graph.num_nodes() && best > 0; ++n) {
-      if (count[n] == best) candidates.push_back(n);
+    for (SiteId v : touched) best = std::max(best, count[v]);
+    for (SiteId v : touched) {
+      if (count[v] == best) candidates.push_back(v);
     }
   }
   return candidates;

@@ -22,14 +22,20 @@ struct BacktraceOptions {
   /// multi-fault logs (Sec. VII-A).
   double relax_fraction = 0.60;
   /// Upper bound on responses examined (large multi-fault logs are
-  /// deterministically subsampled for the structural pass).
+  /// deterministically subsampled for the structural pass). At least 1.
   std::size_t max_responses = 384;
 };
 
 /// The back-tracing algorithm of paper Fig. 3: for every erroneous test
 /// response, collect the union over connected Topnodes of the fan-in-cone
 /// nodes whose signal switches under the failing pattern; intersect across
-/// responses; return the surviving candidate nodes. Runs in O(n_e * n_g).
+/// responses; return the surviving candidate nodes, in ascending node order.
+///
+/// The cones are walked on demand over the graph's in_neighbors() with
+/// per-call scratch (two counters per node), once per distinct Topnode set:
+/// responses that share a set share the walk. The cost is the failing
+/// cones times their responses, not the design's Topedge count, and
+/// concurrent calls on one graph need no lock.
 ///
 /// Requires graph.bind_transitions() to have been called. For compacted
 /// logs, the Topnode set of a response is the ambiguity set of scan cells

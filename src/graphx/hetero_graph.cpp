@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <queue>
+#include <limits>
+#include <stdexcept>
+
+#include "common/heap_bytes.h"
 
 namespace m3dfl::graphx {
 
@@ -17,8 +20,14 @@ HeteroGraph::HeteroGraph(const Netlist& nl, const SiteTable& sites)
 
   // --- Circuit-level edges -------------------------------------------------
   // input-pin -> output-pin (branch b of gate g -> stem of g) and
-  // net-stem -> net-branch (stem of driver d -> branch (g, k)).
-  std::vector<std::size_t> out_deg(n, 0), in_deg(n, 0);
+  // net-stem -> net-branch (stem of driver d -> branch (g, k)). Each
+  // branch node adds two edges, so 2n bounds the edge count and the 32-bit
+  // CSR offsets.
+  if (2 * static_cast<std::uint64_t>(n) >
+      std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("HeteroGraph: edge count overflows 32 bits");
+  }
+  std::vector<std::uint32_t> out_deg(n, 0), in_deg(n, 0);
   auto for_each_edge = [&](auto&& fn) {
     for (SiteId s = 0; s < n; ++s) {
       const FaultSite& fs = sites.site(s);
@@ -41,8 +50,8 @@ HeteroGraph::HeteroGraph(const Netlist& nl, const SiteTable& sites)
   }
   out_col_.resize(out_ptr_[n]);
   in_col_.resize(in_ptr_[n]);
-  std::vector<std::size_t> ofill(out_ptr_.begin(), out_ptr_.end() - 1);
-  std::vector<std::size_t> ifill(in_ptr_.begin(), in_ptr_.end() - 1);
+  std::vector<std::uint32_t> ofill(out_ptr_.begin(), out_ptr_.end() - 1);
+  std::vector<std::uint32_t> ifill(in_ptr_.begin(), in_ptr_.end() - 1);
   for_each_edge([&](SiteId a, SiteId b) {
     out_col_[ofill[a]++] = b;
     in_col_[ifill[b]++] = a;
@@ -68,53 +77,55 @@ HeteroGraph::HeteroGraph(const Netlist& nl, const SiteTable& sites)
     static_[s].connects_miv = c;
   }
 
-  // --- Top level: Topnodes + Topedges via backward BFS ---------------------
+  // --- Top level: per-node Topedge sums via one backward BFS per Topnode --
+  // The Topedges are visited here and not kept: a node's Topedges only
+  // feed its sums, and the back-trace walks cones on demand. Every in-edge
+  // lowers the level, so D_top <= max_level_; MIV stems on a path are two
+  // steps apart, so N_MIV <= max_level_ + 1. That bounds the 32-bit sums.
   const auto outs = nl.outputs();
-  topedge_ptr_.assign(outs.size() + 1, 0);
+  if (static_cast<std::uint64_t>(outs.size()) * (max_level_ + 1ull) >
+      std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(
+        "HeteroGraph: Topedge distance sums overflow 32 bits");
+  }
   agg_.assign(n, TopAgg{});
 
   std::vector<std::uint32_t> dist(n, 0xffffffffu);
-  std::vector<std::uint16_t> nmiv(n, 0);
-  std::vector<SiteId> frontier, next, reached;
-  // First pass estimates pool size, second fills; a single pass with
-  // push_back is simpler and the reallocation cost is negligible.
+  std::vector<std::uint32_t> nmiv(n, 0);
+  std::vector<SiteId> reached;
   for (std::size_t o = 0; o < outs.size(); ++o) {
+    // Breadth-first; `reached` doubles as the FIFO queue and the list of
+    // nodes to reset for the next Topnode.
     const SiteId root = sites.stem_of(outs[o]);
-    reached.clear();
-    frontier.clear();
-    frontier.push_back(root);
+    reached.assign(1, root);
     dist[root] = 0;
     nmiv[root] = static_[root].is_miv;
-    reached.push_back(root);
-    std::uint32_t d = 0;
-    while (!frontier.empty()) {
-      next.clear();
-      ++d;
-      for (SiteId u : frontier) {
-        for (SiteId v : in_neighbors(u)) {
-          if (dist[v] != 0xffffffffu) continue;
-          dist[v] = d;
-          nmiv[v] = static_cast<std::uint16_t>(nmiv[u] + static_[v].is_miv);
-          next.push_back(v);
-          reached.push_back(v);
-        }
+    for (std::size_t i = 0; i < reached.size(); ++i) {
+      const SiteId u = reached[i];
+      for (SiteId v : in_neighbors(u)) {
+        if (dist[v] != 0xffffffffu) continue;
+        dist[v] = dist[u] + 1;
+        nmiv[v] = nmiv[u] + static_[v].is_miv;
+        reached.push_back(v);
       }
-      frontier.swap(next);
     }
     for (SiteId v : reached) {
-      topedge_pool_.push_back(
-          {v, static_cast<std::uint16_t>(std::min(dist[v], 0xffffu)),
-           nmiv[v]});
       TopAgg& a = agg_[v];
+      const std::uint64_t d = dist[v], m = nmiv[v];
       ++a.count;
-      a.sum_d += dist[v];
-      a.sum_d2 += static_cast<double>(dist[v]) * dist[v];
-      a.sum_m += nmiv[v];
-      a.sum_m2 += static_cast<double>(nmiv[v]) * nmiv[v];
+      a.sum_d += static_cast<std::uint32_t>(d);
+      a.sum_d2 += d * d;
+      a.sum_m += static_cast<std::uint32_t>(m);
+      a.sum_m2 += m * m;
       dist[v] = 0xffffffffu;  // Reset for the next Topnode.
     }
-    topedge_ptr_[o + 1] = topedge_pool_.size();
+    num_topedges_ += reached.size();
   }
+}
+
+std::size_t HeteroGraph::bytes() const {
+  return sizeof(*this) + heap_bytes(out_ptr_, in_ptr_, out_col_, in_col_,
+                                    static_, agg_, tpat_);
 }
 
 void HeteroGraph::bind_transitions(const sim::SimCore& core) {
@@ -122,7 +133,7 @@ void HeteroGraph::bind_transitions(const sim::SimCore& core) {
   tpat_.assign(num_nodes(), 0);
   for (SiteId s = 0; s < num_nodes(); ++s) {
     std::uint32_t count = 0;
-    for (sim::Word t : core.transition(sites_->site(s).driver)) {
+    for (sim::Word t : transitions(s)) {
       count += static_cast<std::uint32_t>(std::popcount(t));
     }
     tpat_[s] = count;
@@ -130,9 +141,7 @@ void HeteroGraph::bind_transitions(const sim::SimCore& core) {
 }
 
 bool HeteroGraph::transitions_at(SiteId n, std::uint32_t pattern) const {
-  assert(core_);
-  const sim::Word t =
-      core_->transition(sites_->site(n).driver)[pattern / sim::kWordBits];
+  const sim::Word t = transitions(n)[pattern / sim::kWordBits];
   return (t >> (pattern % sim::kWordBits)) & 1;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,8 +25,12 @@ using netlist::SiteTable;
 /// Top level: one Topnode per observation point (scan-cell D input); a
 /// Topedge connects a Topnode to every node in its fan-in cone and carries
 /// the BFS-shortest distance between its ends and the number of MIV nodes
-/// on that shortest path (Table I). Construction is O(V + E) per Topnode
-/// via BFS, exactly as analyzed in the paper.
+/// on that shortest path (Table I). The Topedges themselves are not stored:
+/// the constructor runs one backward BFS per Topnode, O(V + E) each, and
+/// keeps only the per-node sums the Table-II features read (top_agg()).
+/// The back-trace (graphx::backtrace) walks the cones it needs on demand
+/// over in_neighbors(), so the graph holds O(V + E) bytes, not one entry
+/// per (Topnode, cone node) pair.
 ///
 /// The top level exists to accelerate back-tracing and to contribute
 /// numerical node features; after back-tracing only circuit-level nodes are
@@ -36,8 +41,15 @@ class HeteroGraph {
 
   std::size_t num_nodes() const { return static_.size(); }
   std::size_t num_edges() const { return out_col_.size(); }
-  std::size_t num_topnodes() const { return topedge_ptr_.size() - 1; }
-  std::size_t num_topedges() const { return topedge_pool_.size(); }
+  std::size_t num_topnodes() const { return nl_->num_outputs(); }
+  /// Number of Topedges: the (Topnode, cone node) pairs, i.e. the sum of
+  /// top_agg(n).count over all nodes.
+  std::size_t num_topedges() const { return num_topedges_; }
+
+  /// Circuit node a Topnode stands for (the stem of its observed gate).
+  SiteId topnode_root(std::uint32_t topnode) const {
+    return sites_->stem_of(nl_->outputs()[topnode]);
+  }
 
   const Netlist& nl() const { return *nl_; }
   const SiteTable& sites() const { return *sites_; }
@@ -60,24 +72,19 @@ class HeteroGraph {
   const NodeStatic& node(SiteId n) const { return static_[n]; }
   std::uint32_t max_level() const { return max_level_; }
 
-  /// One Topedge: destination circuit node + features of Table I.
-  struct TopEdge {
-    SiteId node;
-    std::uint16_t dist;  ///< D_top: shortest distance between both ends.
-    std::uint16_t nmiv;  ///< N_MIV: MIVs passed through on that path.
-  };
-  std::span<const TopEdge> topedges_of(std::uint32_t topnode) const {
-    return {topedge_pool_.data() + topedge_ptr_[topnode],
-            topedge_ptr_[topnode + 1] - topedge_ptr_[topnode]};
-  }
-
   /// Per-node aggregates over all Topedges that reach the node; these feed
   /// the Table-II sub-graph features (count, mean/std of length, mean/std
-  /// of MIVs passed through).
+  /// of MIVs passed through). Integer sums are exact, so the features read
+  /// them as doubles without rounding. D_top never exceeds max_level() and
+  /// N_MIV never exceeds max_level() + 1; the constructor throws
+  /// std::length_error unless num_topnodes() * (max_level() + 1) fits the
+  /// 32-bit sums.
   struct TopAgg {
-    std::uint32_t count = 0;
-    double sum_d = 0, sum_d2 = 0;
-    double sum_m = 0, sum_m2 = 0;
+    std::uint64_t sum_d2 = 0;  ///< Sum of squared D_top.
+    std::uint64_t sum_m2 = 0;  ///< Sum of squared N_MIV.
+    std::uint32_t count = 0;   ///< Topedges reaching the node.
+    std::uint32_t sum_d = 0;   ///< Sum of D_top.
+    std::uint32_t sum_m = 0;   ///< Sum of N_MIV.
   };
   const TopAgg& top_agg(SiteId n) const { return agg_[n]; }
 
@@ -93,21 +100,32 @@ class HeteroGraph {
   /// True if the signal at node n switches under pattern p.
   bool transitions_at(SiteId n, std::uint32_t pattern) const;
 
+  /// Transition row of node n: bit p is set iff the signal at n switches
+  /// under pattern p (core().num_words() words).
+  std::span<const sim::Word> transitions(SiteId n) const {
+    assert(core_);
+    return core_->transition(sites_->site(n).driver);
+  }
+
   /// Tpat: number of patterns that launch a transition through node n.
   std::uint32_t tpat(SiteId n) const { return tpat_[n]; }
+
+  /// Heap bytes the graph holds (its CSR, node attributes, aggregates and
+  /// Tpat counts), plus the object itself; the netlist, site table and
+  /// bound core are not counted.
+  std::size_t bytes() const;
 
  private:
   const Netlist* nl_;
   const SiteTable* sites_;
 
-  std::vector<std::size_t> out_ptr_, in_ptr_;
+  std::vector<std::uint32_t> out_ptr_, in_ptr_;
   std::vector<SiteId> out_col_, in_col_;
   std::vector<NodeStatic> static_;
   std::uint32_t max_level_ = 0;
 
-  std::vector<TopEdge> topedge_pool_;
-  std::vector<std::size_t> topedge_ptr_;
   std::vector<TopAgg> agg_;
+  std::size_t num_topedges_ = 0;
 
   const sim::SimCore* core_ = nullptr;
   std::vector<std::uint32_t> tpat_;

@@ -117,6 +117,15 @@ void DiagnosisService::register_design(const eval::Design& design) {
   design.nl.levels();
   design.nl.depth();
 
+  // The design's shared read-only structures, one copy however many
+  // workers serve it (the last registered design's figures).
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  reg.gauge("mem.graph_bytes").set(static_cast<double>(design.graph->bytes()));
+  reg.gauge("mem.sim_arena_bytes")
+      .set(static_cast<double>(design.core->arena().bytes()));
+  reg.gauge("mem.sim_core_bytes")
+      .set(static_cast<double>(design.core->bytes()));
+
   auto state = std::make_unique<DesignState>();
   state->design = &design;
   // First context built eagerly (a clone of the design's bound simulator),

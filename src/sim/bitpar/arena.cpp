@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <stdexcept>
+
+#include "common/heap_bytes.h"
 
 namespace m3dfl::sim::bitpar {
 
@@ -65,14 +69,23 @@ NetlistArena::NetlistArena(const netlist::Netlist& nl,
   }
 
   // Fanin/fanout CSR in arena ids (fanin keeps pin order; fanout sorted
-  // ascending for deterministic traversal).
+  // ascending for deterministic traversal). Every fanin pin is one fanout
+  // entry, so the fanin total bounds both offset arrays.
+  std::uint64_t pins = 0;
+  for (std::size_t g = 0; g < n; ++g) pins += nl.gate(g).fanin.size();
+  if (pins > std::numeric_limits<std::uint32_t>::max() ||
+      nl.num_outputs() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("NetlistArena: CSR offsets overflow 32 bits");
+  }
   fanin_off_.assign(n + 1, 0);
   fanout_off_.assign(n + 1, 0);
   obs_off_.assign(n + 1, 0);
   for (std::uint32_t u = 0; u < n; ++u) {
     const netlist::Gate& gate = nl.gate(orig_of_[u]);
-    fanin_off_[u + 1] = fanin_off_[u] + gate.fanin.size();
-    fanout_off_[u + 1] = fanout_off_[u] + gate.fanout.size();
+    fanin_off_[u + 1] =
+        fanin_off_[u] + static_cast<std::uint32_t>(gate.fanin.size());
+    fanout_off_[u + 1] =
+        fanout_off_[u] + static_cast<std::uint32_t>(gate.fanout.size());
   }
   fanin_.resize(fanin_off_[n]);
   fanout_.resize(fanout_off_[n]);
@@ -97,7 +110,7 @@ NetlistArena::NetlistArena(const netlist::Netlist& nl,
   for (std::size_t u = 0; u < n; ++u) obs_off_[u + 1] += obs_off_[u];
   obs_.resize(obs_off_[n]);
   {
-    std::vector<std::size_t> cursor(obs_off_.begin(), obs_off_.end() - 1);
+    std::vector<std::uint32_t> cursor(obs_off_.begin(), obs_off_.end() - 1);
     for (std::uint32_t o = 0; o < outs.size(); ++o) {
       obs_[cursor[arena_of_[outs[o]]]++] = o;
     }
@@ -121,6 +134,13 @@ NetlistArena::NetlistArena(const netlist::Netlist& nl,
     const netlist::FaultSite& fs = sites.site(s);
     sites_[s] = {arena_of_[fs.gate], arena_of_[fs.driver], fs.pin};
   }
+}
+
+std::size_t NetlistArena::bytes() const {
+  return sizeof(*this) +
+         heap_bytes(orig_of_, arena_of_, op_, type_, level_, observable_,
+                    fanin_off_, fanout_off_, obs_off_, fanin_, fanout_, obs_,
+                    level_off_, sites_);
 }
 
 }  // namespace m3dfl::sim::bitpar

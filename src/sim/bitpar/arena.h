@@ -30,7 +30,9 @@ enum class OpKind : std::uint8_t { kInput = 0, kPass, kXor2, kAnd, kOr };
 /// fanout lists are flattened into CSR arrays; output indices, the
 /// reverse-reachability observability mask both engines prune with,
 /// and the fault-site table are re-based onto arena ids so the simulators
-/// never touch the pointer-heavy Netlist on the hot path.
+/// never touch the pointer-heavy Netlist on the hot path. CSR offsets are
+/// 32-bit; the constructor throws std::length_error for a netlist whose
+/// pin or observation-point count does not fit.
 class NetlistArena {
  public:
   NetlistArena(const netlist::Netlist& nl, const netlist::SiteTable& sites);
@@ -76,6 +78,10 @@ class NetlistArena {
   const SiteRef& site(netlist::SiteId s) const { return sites_[s]; }
   std::size_t num_sites() const { return sites_.size(); }
 
+  /// Heap bytes the arena holds, plus the object itself (the netlist it
+  /// mirrors is not counted).
+  std::size_t bytes() const;
+
  private:
   const netlist::Netlist* nl_;
   std::size_t num_outputs_ = 0;
@@ -86,7 +92,7 @@ class NetlistArena {
   std::vector<netlist::GateType> type_;
   std::vector<std::uint32_t> level_;
   std::vector<std::uint8_t> observable_;
-  std::vector<std::size_t> fanin_off_, fanout_off_, obs_off_;
+  std::vector<std::uint32_t> fanin_off_, fanout_off_, obs_off_;
   std::vector<std::uint32_t> fanin_, fanout_, obs_;
   std::vector<std::uint32_t> level_off_;
   std::vector<SiteRef> sites_;

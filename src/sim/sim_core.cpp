@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "common/heap_bytes.h"
+
 namespace m3dfl::sim {
 
 const char* polarity_name(FaultPolarity p) {
@@ -57,6 +59,10 @@ void SimCore::activation(const InjectedFault& fault, Word* act) const {
         break;
     }
   }
+}
+
+std::size_t SimCore::bytes() const {
+  return sizeof(*this) + heap_bytes(v1_, v2_, tr_);
 }
 
 }  // namespace m3dfl::sim

@@ -88,6 +88,10 @@ class SimCore {
   /// (stuck-at: iff the good value differs from the stuck value).
   void activation(const InjectedFault& fault, Word* act) const;
 
+  /// Heap bytes of the good-machine rows, plus the object itself. The
+  /// arena is shared between cores and counted by arena().bytes().
+  std::size_t bytes() const;
+
  private:
   std::shared_ptr<const bitpar::NetlistArena> arena_;
   std::size_t num_patterns_ = 0;

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <set>
 
+#include "atpg/patterns.h"
 #include "eval/experiments.h"
+#include "sim/sim_core.h"
 
 namespace m3dfl::eval {
 namespace {
@@ -30,6 +32,59 @@ TEST(Design, BuildsEveryConfiguration) {
     EXPECT_TRUE(d.graph->has_transitions());
     EXPECT_GT(d.atpg_coverage, 0.7) << config_name(config);
     EXPECT_GE(d.test_coverage, d.atpg_coverage);
+  }
+}
+
+/// True if two cores over one arena hold the same good-machine rows.
+bool same_rows(const sim::SimCore& a, const sim::SimCore& b) {
+  if (a.num_patterns() != b.num_patterns() ||
+      a.arena().num_gates() != b.arena().num_gates()) {
+    return false;
+  }
+  const std::size_t W = a.num_words();
+  for (std::uint32_t u = 0; u < a.arena().num_gates(); ++u) {
+    if (!std::equal(a.v1(u), a.v1(u) + W, b.v1(u)) ||
+        !std::equal(a.v2(u), a.v2(u) + W, b.v2(u)) ||
+        !std::equal(a.tr(u), a.tr(u) + W, b.tr(u))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// With no top-off pattern (every paper-scale spec), the good machine is
+// simulated once per build: ATPG returns the core its fault-dropping pass
+// ran on, and the design keeps it.
+TEST(Design, NoTopoffBuildKeepsTheAtpgCore) {
+  BenchmarkSpec spec = tiny_spec();
+  spec.name += "-no-topoff";
+  spec.max_topoff_patterns = 0;
+  const auto d = build_design(spec, Config::kSyn2);
+  ASSERT_TRUE(d->core);
+  EXPECT_EQ(d->num_topoff_patterns, 0u);
+  EXPECT_EQ(d->core->num_patterns(), spec.num_patterns);
+  EXPECT_EQ(&d->fsim->core(), d->core.get());
+  const sim::SimCore fresh(
+      d->core->shared_arena(),
+      sim::simulate_two_vector(d->nl, d->patterns, d->patterns_v2));
+  EXPECT_TRUE(same_rows(*d->core, fresh));
+
+  // The pass's core at the ATPG level: over the given arena, of the
+  // returned pattern pair, with or without top-off.
+  atpg::PatternGenOptions pgen;
+  pgen.num_patterns = 48;
+  for (std::size_t max_topoff : {0, 64}) {
+    const auto pair = atpg::generate_tdf_patterns_with_topoff(
+        d->core->shared_arena(), d->sites, pgen, max_topoff);
+    ASSERT_TRUE(pair.core) << max_topoff;
+    EXPECT_EQ(pair.num_topoff > 0, max_topoff > 0) << max_topoff;
+    EXPECT_EQ(&pair.core->arena(), &d->core->arena());
+    EXPECT_EQ(pair.core->num_patterns(), pair.v1.num_patterns());
+    EXPECT_TRUE(same_rows(
+        *pair.core,
+        sim::SimCore(d->core->shared_arena(),
+                     sim::simulate_two_vector(d->nl, pair.v1, pair.v2))))
+        << max_topoff;
   }
 }
 

@@ -192,6 +192,8 @@ TEST(AdminHttp, MetricsServesConformantPrometheusText) {
   design.make_diagnoser().diagnose(ds.samples.front().log);
 
   AdminFixture fx;
+  // Registering a design publishes its per-component byte gauges.
+  fx.service.register_design(design);
   const HttpReply r = http_get(fx.server.port(), "/metrics");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.status, 200);
@@ -203,7 +205,8 @@ TEST(AdminHttp, MetricsServesConformantPrometheusText) {
             std::string::npos);
   for (const char* name :
        {"m3dfl_diag_backtrace_gates_total", "m3dfl_diag_sites_scored_total",
-        "m3dfl_diag_sites_matched_total"}) {
+        "m3dfl_diag_sites_matched_total", "m3dfl_mem_graph_bytes",
+        "m3dfl_mem_sim_arena_bytes", "m3dfl_mem_sim_core_bytes"}) {
     EXPECT_NE(r.body.find(name), std::string::npos) << name;
   }
   const std::vector<std::string> violations = obs::prometheus_lint(r.body);

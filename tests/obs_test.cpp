@@ -409,6 +409,29 @@ TEST(Tracer, ChromeTraceExportIsValidJson) {
 
 // --- Traced pipeline: coverage + bit-identity ------------------------------
 
+// A design build explains itself: its span has one child per build stage,
+// in flow order, each inside the build on the same thread.
+TEST(Tracer, DesignBuildSplitsIntoStageSpans) {
+  reset_tracer();
+  const auto d = eval::build_design(eval::tiny_spec(), eval::Config::kSyn2);
+  obs::Tracer::instance().set_enabled(false);
+  const std::vector<obs::SpanEvent> events =
+      obs::Tracer::instance().snapshot();
+  const obs::SpanEvent* build = find_span(events, "design.build");
+  ASSERT_NE(build, nullptr);
+  std::uint64_t previous_end = build->start_ns;
+  for (const char* stage : {"design.netlist", "design.partition",
+                            "design.atpg", "design.core", "design.graph"}) {
+    const obs::SpanEvent* e = find_span(events, stage);
+    ASSERT_NE(e, nullptr) << stage;
+    EXPECT_EQ(e->tid, build->tid) << stage;
+    EXPECT_EQ(e->depth, build->depth + 1) << stage;
+    EXPECT_GE(e->start_ns, previous_end) << stage;
+    previous_end = e->start_ns + e->dur_ns;
+  }
+  EXPECT_LE(previous_end, build->start_ns + build->dur_ns);
+}
+
 TEST(TracedPipeline, CoversStagesAcrossThreadsWithoutPerturbingResults) {
   using namespace eval;
   const Design& d = cached_design(tiny_spec(), Config::kSyn1);

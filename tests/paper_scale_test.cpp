@@ -2,8 +2,9 @@
 // gates): generator smoke at 100K gates with rent-style fanout, partitioned
 // fault-dictionary campaigns bit-identical to unpartitioned ones across
 // backends and thread counts, out-of-core (spilled) lookups identical to
-// in-memory ones, the datagen + parallel-diagnosis flow end-to-end, and the
-// per-worker memory footprints of the Diagnoser and the fault simulator.
+// in-memory ones, the datagen + parallel-diagnosis flow end-to-end, the
+// per-worker memory footprints of the Diagnoser and the fault simulator, and
+// the bytes the heterogeneous graph retains.
 //
 // Everything heavier than the generator runs against one process-cached
 // m3d100k design, so the binary stays within the suite's slowest-test
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <malloc.h>
 #include <memory>
 #include <new>
 #include <vector>
@@ -24,14 +26,36 @@
 #include "diagnosis/dictionary.h"
 #include "eval/benchmarks.h"
 #include "eval/datagen.h"
+#include "graphx/hetero_graph.h"
 #include "obs/metrics.h"
 #include "partition/hier.h"
 
 // paper_scale_test is its own binary, so replacing the global allocator here
 // is safe. The byte counter lets the footprint tests measure what a
 // Diagnoser or a simulator workspace allocates instead of trusting layouts.
+// g_live_bytes follows what is still allocated (malloc_usable_size of each
+// block, added on allocation and subtracted on release), so a test can also
+// measure what a structure retains after its constructor's temporaries are
+// gone.
 namespace {
 std::atomic<std::size_t> g_alloc_bytes{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+void* counted_alloc(std::size_t size) {
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  void* p = std::malloc(size ? size : 1);
+  if (!p) throw std::bad_alloc();
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+
+void counted_free(void* p) noexcept {
+  if (!p) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 // GCC pairs these malloc-backed replacements against allocation sites it
@@ -39,20 +63,12 @@ std::atomic<std::size_t> g_alloc_bytes{0};
 // are replaced together here, so the pairing is in fact consistent.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 #pragma GCC diagnostic pop
 
 namespace m3dfl {
@@ -279,6 +295,32 @@ TEST(PaperScale, WorkerCostsOnlyItsWorkspace) {
     cloned->observed_diff(f, got);
     EXPECT_EQ(got, want) << "site " << s;
   }
+}
+
+// The heterogeneous graph keeps only O(V + E) state: its CSR, per-node
+// attributes, per-node Topedge sums and Tpat counts. No Topedge or cone list
+// is stored per Topnode (at the parent a pool of ~10.7M Topedges made it
+// over 200 B per node), and bytes() accounts for what it retains.
+TEST(PaperScale, GraphHoldsNoPerTopnodeLists) {
+  eval::Design& d = design();
+  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  auto graph = std::make_unique<graphx::HeteroGraph>(d.nl, d.sites);
+  graph->bind_transitions(*d.core);
+  const auto retained = static_cast<double>(
+      g_live_bytes.load(std::memory_order_relaxed) - before);
+  const double per_node = retained / static_cast<double>(graph->num_nodes());
+  EXPECT_LT(per_node, 64.0) << retained << " bytes for " << graph->num_nodes()
+                            << " nodes";
+  const auto accounted = static_cast<double>(graph->bytes());
+  EXPECT_NEAR(retained, accounted, 0.05 * accounted)
+      << "bytes() " << accounted << " vs retained " << retained;
+  // The Topedge count survives as a number: the sum of per-node counts.
+  std::size_t topedges = 0;
+  for (netlist::SiteId n = 0; n < graph->num_nodes(); ++n) {
+    topedges += graph->top_agg(n).count;
+  }
+  EXPECT_EQ(graph->num_topedges(), topedges);
+  EXPECT_GT(topedges, graph->num_nodes());
 }
 
 }  // namespace
