@@ -5,6 +5,7 @@
 #include "atpg/coverage.h"
 #include "atpg/podem.h"
 #include "common/rng.h"
+#include "obs/trace.h"
 #include "sim/fault_sim.h"
 
 namespace m3dfl::atpg {
@@ -59,7 +60,7 @@ void fill_pattern(PatternSet& ps, std::size_t slot,
 TdfPatternPair generate_tdf_patterns_with_topoff(
     std::shared_ptr<const sim::bitpar::NetlistArena> arena,
     const netlist::SiteTable& sites, const PatternGenOptions& opts,
-    std::size_t max_topoff) {
+    std::size_t max_topoff, std::size_t num_threads) {
   const netlist::Netlist& nl = arena->netlist();
   TdfPatternPair pair;
   pair.num_random = opts.num_patterns;
@@ -70,52 +71,55 @@ TdfPatternPair generate_tdf_patterns_with_topoff(
   PatternSet v2 = generate_tdf_patterns(nl, v2_opts);
 
   // Fault-dropping pass over the random base. One workspace serves every
-  // pass; each pass binds a core of its own patterns over the one arena.
+  // pass; each pass binds a core of its own patterns over the one arena,
+  // and detect_faults() shards the pass over clones of the workspace.
   auto core_of = [&](const PatternSet& a, const PatternSet& b) {
     return std::make_shared<const sim::SimCore>(
         arena, sim::simulate_two_vector(nl, a, b));
   };
   std::shared_ptr<const sim::SimCore> base_core = core_of(v1, v2);
   sim::FaultSimulator fsim(base_core);
+  // Faults not yet detected, in fault-list order, and whether PODEM has
+  // already targeted each.
   std::vector<sim::InjectedFault> pending = enumerate_tdf_faults(sites);
+  std::vector<std::uint8_t> targeted(pending.size(), 0);
   const std::size_t total_faults = pending.size();
   std::size_t detected = 0;
-  {
-    // Drop-detection only needs the boolean, so use the early-exit path.
-    std::vector<sim::InjectedFault> undetected;
-    for (const auto& f : pending) {
-      if (fsim.detects(f)) {
-        ++detected;
-      } else {
-        undetected.push_back(f);
-      }
+  // Drops every pending fault the bound patterns detect, keeping the
+  // survivors in order, so the result is the same at any thread count.
+  auto drop_detected = [&] {
+    const std::vector<std::uint8_t> hit =
+        detect_faults(fsim, pending, num_threads);
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (hit[i]) continue;
+      pending[keep] = pending[i];
+      targeted[keep] = targeted[i];
+      ++keep;
     }
-    pending = std::move(undetected);
+    detected += pending.size() - keep;
+    pending.resize(keep);
+    targeted.resize(keep);
+  };
+  {
+    M3DFL_OBS_SPAN(drop_span, "design.fault_drop");
+    drop_detected();
   }
 
   // Deterministic top-off, in blocks of up to 64 patterns so fortuitous
   // detection by the random X-fill drops faults cheaply.
   Podem podem(nl, sites);
   Rng fill_rng(derive_seed(opts.seed, 0xf111));
-  struct Target {
-    sim::InjectedFault fault;
-    bool processed = false;  // PODEM already attempted.
-  };
-  std::vector<Target> targets;
-  targets.reserve(pending.size());
-  for (const auto& f : pending) targets.push_back({f, false});
-
   std::size_t added = 0;
   while (added < max_topoff) {
     const std::size_t block = std::min<std::size_t>(64, max_topoff - added);
     PatternSet bv1(nl.num_inputs(), block);
     PatternSet bv2(nl.num_inputs(), block);
     std::size_t produced = 0;
-    for (Target& t : targets) {
-      if (produced >= block) break;
-      if (t.processed) continue;
-      t.processed = true;
-      const Podem::Result r = podem.generate(t.fault);
+    for (std::size_t i = 0; i < pending.size() && produced < block; ++i) {
+      if (targeted[i]) continue;
+      targeted[i] = 1;
+      const Podem::Result r = podem.generate(pending[i]);
       if (r.untestable) ++pair.num_untestable;
       if (!r.success) continue;
       fill_pattern(bv1, produced, r.v1_inputs, fill_rng);
@@ -149,16 +153,7 @@ TdfPatternPair generate_tdf_patterns_with_topoff(
       }
     }
     fsim.bind(core_of(sv1, sv2));
-    std::vector<Target> still;
-    still.reserve(targets.size());
-    for (const Target& t : targets) {
-      if (fsim.detects(t.fault)) {
-        ++detected;
-      } else {
-        still.push_back(t);
-      }
-    }
-    targets = std::move(still);
+    drop_detected();
   }
 
   pair.core = added == 0 ? std::move(base_core) : core_of(v1, v2);

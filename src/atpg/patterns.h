@@ -55,10 +55,13 @@ struct TdfPatternPair {
 /// succeeds, or max_topoff extra patterns were added. This is the stand-in
 /// for the paper's commercial TDF ATPG and reaches comparable (97-99%)
 /// coverage on the benchmark netlists. `arena` is the netlist's arena
-/// (built over `sites`); every fault-dropping pass simulates on it.
+/// (built over `sites`); every fault-dropping pass simulates on it, sharded
+/// by detect_faults() over `num_threads` workspaces (0 = the hardware's
+/// count, inline for small fault lists). The result is the same at any
+/// thread count.
 TdfPatternPair generate_tdf_patterns_with_topoff(
     std::shared_ptr<const sim::bitpar::NetlistArena> arena,
     const netlist::SiteTable& sites, const PatternGenOptions& opts,
-    std::size_t max_topoff);
+    std::size_t max_topoff, std::size_t num_threads = 0);
 
 }  // namespace m3dfl::atpg

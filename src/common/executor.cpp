@@ -114,4 +114,11 @@ std::size_t resolve_num_threads(std::size_t requested) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+std::size_t sweep_shards(std::size_t requested, std::size_t n,
+                         std::size_t serial_below) {
+  if (requested == 0 && n < serial_below) return 1;
+  return std::min(resolve_num_threads(requested),
+                  std::max<std::size_t>(n, 1));
+}
+
 }  // namespace m3dfl

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -97,5 +99,47 @@ class Executor {
 /// Resolves a user-facing thread-count knob: 0 means "whatever the hardware
 /// offers" (never less than 1); any other value is taken literally.
 std::size_t resolve_num_threads(std::size_t requested);
+
+/// Shard count of a parallel sweep over `n` items, never more than `n`: a
+/// nonzero `requested` is taken literally; 0 means the hardware's thread
+/// count, or 1 (run inline) below `serial_below` items, where thread
+/// start-up would cost more than it saves.
+std::size_t sweep_shards(std::size_t requested, std::size_t n,
+                         std::size_t serial_below);
+
+/// Runs fn(shard, lo, hi) over chunks [lo, hi) that cover [0, n). With one
+/// shard the call is inline: fn(0, 0, n). Otherwise `num_shards` workers of
+/// an Executor (labelled `label`) claim chunks of at most `max_chunk` items
+/// (about 16 per worker) dynamically, so uneven item costs still balance.
+/// Each worker is one shard, so fn may use scratch indexed by `shard`
+/// without locking. Which chunks a shard runs varies between runs: callers
+/// write per-item results or merge shard sums order-free. Rethrows the
+/// first exception a shard threw.
+template <typename F>
+void for_each_chunk(std::size_t num_shards, std::size_t n,
+                    std::size_t max_chunk, const char* label, F&& fn) {
+  if (num_shards <= 1 || n == 0) {
+    fn(std::size_t{0}, std::size_t{0}, n);
+    return;
+  }
+  const std::size_t per_shard = (n + num_shards * 16 - 1) / (num_shards * 16);
+  const std::size_t chunk =
+      std::max<std::size_t>(1, std::min(max_chunk, per_shard));
+  std::atomic<std::size_t> next{0};
+  Executor exec(num_shards, label);
+  std::vector<std::future<void>> done;
+  done.reserve(num_shards);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    done.push_back(exec.submit([&fn, &next, n, chunk, s] {
+      for (;;) {
+        const std::size_t lo =
+            next.fetch_add(chunk, std::memory_order_relaxed);
+        if (lo >= n) return;
+        fn(s, lo, std::min(n, lo + chunk));
+      }
+    }));
+  }
+  for (auto& f : done) f.get();
+}
 
 }  // namespace m3dfl

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/executor.h"
 #include "common/heap_bytes.h"
 
 namespace m3dfl::graphx {
@@ -14,7 +15,19 @@ using netlist::FaultSite;
 using netlist::GateId;
 using netlist::GateType;
 
-HeteroGraph::HeteroGraph(const Netlist& nl, const SiteTable& sites)
+namespace {
+
+/// Below this many Topnodes the sweep runs inline (auto thread count);
+/// `tiny` has ~40.
+constexpr std::size_t kSerialTopnodes = 1024;
+/// Largest run of Topnodes a shard claims at once (m3d100k has ~4.2K
+/// Topnodes, with cones of very different sizes).
+constexpr std::size_t kMaxTopnodeChunk = 16;
+
+}  // namespace
+
+HeteroGraph::HeteroGraph(const Netlist& nl, const SiteTable& sites,
+                         std::size_t num_threads)
     : nl_(&nl), sites_(&sites) {
   const std::size_t n = sites.size();
 
@@ -88,38 +101,81 @@ HeteroGraph::HeteroGraph(const Netlist& nl, const SiteTable& sites)
     throw std::length_error(
         "HeteroGraph: Topedge distance sums overflow 32 bits");
   }
+  // Sharded over Topnodes: each shard owns its BFS scratch and its sums
+  // (shard 0 writes agg_ itself), and the shard sums are added into agg_ at
+  // the end. Integer sums make that merge exact in any order, so the graph
+  // is the same at any thread count. Scratch is allocated here, before the
+  // fan-out, and freed on return.
   agg_.assign(n, TopAgg{});
-
-  std::vector<std::uint32_t> dist(n, 0xffffffffu);
-  std::vector<std::uint32_t> nmiv(n, 0);
-  std::vector<SiteId> reached;
-  for (std::size_t o = 0; o < outs.size(); ++o) {
-    // Breadth-first; `reached` doubles as the FIFO queue and the list of
-    // nodes to reset for the next Topnode.
-    const SiteId root = sites.stem_of(outs[o]);
-    reached.assign(1, root);
-    dist[root] = 0;
-    nmiv[root] = static_[root].is_miv;
-    for (std::size_t i = 0; i < reached.size(); ++i) {
-      const SiteId u = reached[i];
-      for (SiteId v : in_neighbors(u)) {
-        if (dist[v] != 0xffffffffu) continue;
-        dist[v] = dist[u] + 1;
-        nmiv[v] = nmiv[u] + static_[v].is_miv;
-        reached.push_back(v);
+  const std::size_t shards =
+      sweep_shards(num_threads, outs.size(), kSerialTopnodes);
+  // Cache-line aligned: `reached` grows on every visit, and neighbouring
+  // shards must not share the line that holds its end pointer.
+  struct alignas(64) Shard {
+    std::vector<std::uint32_t> dist, nmiv;
+    std::vector<SiteId> reached;
+    std::vector<TopAgg> agg;  // Empty for shard 0, which sums into agg_.
+    std::size_t topedges = 0;
+  };
+  std::vector<Shard> scratch(shards);
+  for (std::size_t k = 0; k < shards; ++k) {
+    scratch[k].dist.assign(n, 0xffffffffu);
+    scratch[k].nmiv.assign(n, 0);
+    if (k > 0) scratch[k].agg.assign(n, TopAgg{});
+  }
+  // The workers read the CSR, the site table and `outs`; the netlist's
+  // lazy caches they could race on are not touched (levels() is warm from
+  // the node attributes above).
+  auto sweep = [&](std::size_t shard, std::size_t lo, std::size_t hi) {
+    Shard& sh = scratch[shard];
+    std::vector<std::uint32_t>& dist = sh.dist;
+    std::vector<std::uint32_t>& nmiv = sh.nmiv;
+    std::vector<SiteId>& reached = sh.reached;
+    TopAgg* agg = shard == 0 ? agg_.data() : sh.agg.data();
+    std::size_t topedges = 0;
+    for (std::size_t o = lo; o < hi; ++o) {
+      // Breadth-first; `reached` doubles as the FIFO queue and the list of
+      // nodes to reset for the next Topnode.
+      const SiteId root = sites.stem_of(outs[o]);
+      reached.assign(1, root);
+      dist[root] = 0;
+      nmiv[root] = static_[root].is_miv;
+      for (std::size_t i = 0; i < reached.size(); ++i) {
+        const SiteId u = reached[i];
+        for (SiteId v : in_neighbors(u)) {
+          if (dist[v] != 0xffffffffu) continue;
+          dist[v] = dist[u] + 1;
+          nmiv[v] = nmiv[u] + static_[v].is_miv;
+          reached.push_back(v);
+        }
       }
+      for (SiteId v : reached) {
+        TopAgg& a = agg[v];
+        const std::uint64_t d = dist[v], m = nmiv[v];
+        ++a.count;
+        a.sum_d += static_cast<std::uint32_t>(d);
+        a.sum_d2 += d * d;
+        a.sum_m += static_cast<std::uint32_t>(m);
+        a.sum_m2 += m * m;
+        dist[v] = 0xffffffffu;  // Reset for the next Topnode.
+      }
+      topedges += reached.size();
     }
-    for (SiteId v : reached) {
+    sh.topedges += topedges;
+  };
+  for_each_chunk(shards, outs.size(), kMaxTopnodeChunk, "topnode_sweep",
+                 sweep);
+  for (const Shard& sh : scratch) {
+    num_topedges_ += sh.topedges;
+    for (std::size_t v = 0; v < sh.agg.size(); ++v) {
       TopAgg& a = agg_[v];
-      const std::uint64_t d = dist[v], m = nmiv[v];
-      ++a.count;
-      a.sum_d += static_cast<std::uint32_t>(d);
-      a.sum_d2 += d * d;
-      a.sum_m += static_cast<std::uint32_t>(m);
-      a.sum_m2 += m * m;
-      dist[v] = 0xffffffffu;  // Reset for the next Topnode.
+      const TopAgg& b = sh.agg[v];
+      a.count += b.count;
+      a.sum_d += b.sum_d;
+      a.sum_d2 += b.sum_d2;
+      a.sum_m += b.sum_m;
+      a.sum_m2 += b.sum_m2;
     }
-    num_topedges_ += reached.size();
   }
 }
 

@@ -28,6 +28,9 @@ using netlist::SiteTable;
 /// on that shortest path (Table I). The Topedges themselves are not stored:
 /// the constructor runs one backward BFS per Topnode, O(V + E) each, and
 /// keeps only the per-node sums the Table-II features read (top_agg()).
+/// The BFS sweep is sharded over `num_threads` (0 = the hardware's count,
+/// inline for designs with few Topnodes); the sums are exact integers, so
+/// the graph is the same at any thread count.
 /// The back-trace (graphx::backtrace) walks the cones it needs on demand
 /// over in_neighbors(), so the graph holds O(V + E) bytes, not one entry
 /// per (Topnode, cone node) pair.
@@ -37,7 +40,8 @@ using netlist::SiteTable;
 /// extracted into the homogeneous sub-graph fed to the GNNs.
 class HeteroGraph {
  public:
-  HeteroGraph(const Netlist& nl, const SiteTable& sites);
+  HeteroGraph(const Netlist& nl, const SiteTable& sites,
+              std::size_t num_threads = 0);
 
   std::size_t num_nodes() const { return static_.size(); }
   std::size_t num_edges() const { return out_col_.size(); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -192,7 +193,18 @@ void register_admin_endpoints(obs::AdminHttpServer& server,
        << ",\"max_wait_us\":" << o.max_wait.count()
        << ",\"cache_capacity\":" << o.cache_capacity
        << ",\"batcher_pending_high_water\":" << service.batcher_high_water()
-       << "},\"inference\":{";
+       << "},\"memory\":{";
+    // The registered design's shared structures, by their registry names
+    // (whole bytes, so integers).
+    const char* sep = "";
+    for (const char* name :
+         {"mem.graph_bytes", "mem.sim_arena_bytes", "mem.sim_core_bytes"}) {
+      os << sep << '"' << name << "\":"
+         << static_cast<std::uint64_t>(
+                obs::MetricsRegistry::instance().gauge(name).value());
+      sep = ",";
+    }
+    os << "},\"inference\":{";
     {
       const DiagnosisService::QuantStatus q = service.live_quant_status();
       char fp[32];

@@ -8,7 +8,10 @@
 #include <set>
 
 #include "atpg/patterns.h"
+#include "common/rng.h"
 #include "eval/experiments.h"
+#include "graphx/hetero_graph.h"
+#include "obs/metrics.h"
 #include "sim/sim_core.h"
 
 namespace m3dfl::eval {
@@ -85,6 +88,99 @@ TEST(Design, NoTopoffBuildKeepsTheAtpgCore) {
         sim::SimCore(d->core->shared_arena(),
                      sim::simulate_two_vector(d->nl, pair.v1, pair.v2))))
         << max_topoff;
+  }
+}
+
+bool same_patterns(const sim::PatternSet& a, const sim::PatternSet& b) {
+  if (a.num_inputs() != b.num_inputs() ||
+      a.num_patterns() != b.num_patterns()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.num_inputs(); ++i) {
+    if (!std::ranges::equal(a.row(i), b.row(i))) return false;
+  }
+  return true;
+}
+
+std::uint64_t executor_tasks(const char* label) {
+  return obs::MetricsRegistry::instance()
+      .counter(std::string("executor.") + label + ".tasks")
+      .value();
+}
+
+/// The ATPG options build_design() uses for `spec` in Syn-2.
+atpg::PatternGenOptions syn2_pattern_options(const BenchmarkSpec& spec) {
+  atpg::PatternGenOptions pgen;
+  pgen.num_patterns = spec.num_patterns;
+  pgen.seed = derive_seed(spec.seed,
+                          41 + static_cast<std::uint64_t>(Config::kSyn2));
+  return pgen;
+}
+
+// ATPG's fault-dropping passes (the random base and every top-off block)
+// are sharded over workspaces; the pattern pair, its figures and its core
+// are the same on 1, 2 and 8 threads. Explicit counts take the multi-shard
+// path however small the fault list, which the executor's task counter
+// proves.
+TEST(Design, AtpgIsThreadCountInvariant) {
+  for (const BenchmarkSpec& spec : {tiny_spec(), aes_spec()}) {
+    const Design& d = cached_design(spec, Config::kSyn2);
+    const atpg::PatternGenOptions pgen = syn2_pattern_options(spec);
+    const auto arena = d.core->shared_arena();
+    const atpg::TdfPatternPair ref = atpg::generate_tdf_patterns_with_topoff(
+        arena, d.sites, pgen, spec.max_topoff_patterns, 1);
+    ASSERT_GT(ref.num_topoff, 0u) << spec.name;
+    EXPECT_TRUE(same_patterns(ref.v1, d.patterns)) << spec.name;
+    EXPECT_TRUE(same_patterns(ref.v2, d.patterns_v2)) << spec.name;
+    EXPECT_EQ(ref.coverage, d.atpg_coverage) << spec.name;
+    for (std::size_t threads : {2, 8}) {
+      const std::uint64_t tasks = executor_tasks("fault_drop");
+      const atpg::TdfPatternPair pair =
+          atpg::generate_tdf_patterns_with_topoff(
+              arena, d.sites, pgen, spec.max_topoff_patterns, threads);
+      EXPECT_GE(executor_tasks("fault_drop"), tasks + threads)
+          << spec.name << " on " << threads;
+      EXPECT_TRUE(same_patterns(pair.v1, ref.v1)) << spec.name << threads;
+      EXPECT_TRUE(same_patterns(pair.v2, ref.v2)) << spec.name << threads;
+      EXPECT_EQ(pair.num_random, ref.num_random) << spec.name << threads;
+      EXPECT_EQ(pair.num_topoff, ref.num_topoff) << spec.name << threads;
+      EXPECT_EQ(pair.num_untestable, ref.num_untestable)
+          << spec.name << threads;
+      EXPECT_EQ(pair.coverage, ref.coverage) << spec.name << threads;
+      EXPECT_EQ(pair.test_coverage, ref.test_coverage)
+          << spec.name << threads;
+      EXPECT_TRUE(same_rows(*pair.core, *ref.core)) << spec.name << threads;
+    }
+  }
+}
+
+// The HeteroGraph's Topnode sweep is sharded with per-shard sums added at
+// the end; every node's aggregates and the Topedge count are the same on
+// 1, 2 and 8 threads, and equal the design's own graph.
+TEST(Design, GraphIsThreadCountInvariant) {
+  for (const BenchmarkSpec& spec : {tiny_spec(), aes_spec()}) {
+    const Design& d = cached_design(spec, Config::kSyn2);
+    const graphx::HeteroGraph& built = *d.graph;
+    const graphx::HeteroGraph ref(d.nl, d.sites, 1);
+    ASSERT_EQ(ref.num_topedges(), built.num_topedges()) << spec.name;
+    for (std::size_t threads : {2, 8}) {
+      const std::uint64_t tasks = executor_tasks("topnode_sweep");
+      const graphx::HeteroGraph g(d.nl, d.sites, threads);
+      EXPECT_GE(executor_tasks("topnode_sweep"), tasks + threads)
+          << spec.name << " on " << threads;
+      EXPECT_EQ(g.num_topedges(), ref.num_topedges()) << spec.name << threads;
+      std::size_t mismatched = 0;
+      for (netlist::SiteId n = 0; n < ref.num_nodes(); ++n) {
+        for (const graphx::HeteroGraph* other : {&g, &built}) {
+          const auto& a = other->top_agg(n);
+          const auto& b = ref.top_agg(n);
+          mismatched += a.count != b.count || a.sum_d != b.sum_d ||
+                        a.sum_d2 != b.sum_d2 || a.sum_m != b.sum_m ||
+                        a.sum_m2 != b.sum_m2;
+        }
+      }
+      EXPECT_EQ(mismatched, 0u) << spec.name << " on " << threads;
+    }
   }
 }
 

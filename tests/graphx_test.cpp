@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/rng.h"
 #include "compress/compactor.h"
@@ -217,20 +218,25 @@ TEST_P(TopedgeProperty, DistancesAreBfsShortest) {
 TEST_P(TopedgeProperty, AggregatesMatchEdgeLists) {
   Fixture fx(GetParam() + 10, 96, /*m3d=*/true);
   // Rebuild every per-node aggregate field from the reference Topedge
-  // lists; the MIV sums must be exercised, not all zero.
+  // lists; the MIV sums must be exercised, not all zero. The graph built
+  // with a sharded Topnode sweep must match the reference too.
   const auto ref = ref_aggregates(fx);
+  const HeteroGraph sharded(fx.nl, fx.sites, 3);
   std::size_t total = 0, with_mivs = 0;
   for (netlist::SiteId n = 0; n < fx.graph.num_nodes(); ++n) {
-    const auto& a = fx.graph.top_agg(n);
-    EXPECT_EQ(a.count, ref[n].count) << "node " << n;
-    EXPECT_EQ(a.sum_d, ref[n].sum_d) << "node " << n;
-    EXPECT_EQ(a.sum_d2, ref[n].sum_d2) << "node " << n;
-    EXPECT_EQ(a.sum_m, ref[n].sum_m) << "node " << n;
-    EXPECT_EQ(a.sum_m2, ref[n].sum_m2) << "node " << n;
+    for (const HeteroGraph* g : {&std::as_const(fx.graph), &sharded}) {
+      const auto& a = g->top_agg(n);
+      EXPECT_EQ(a.count, ref[n].count) << "node " << n;
+      EXPECT_EQ(a.sum_d, ref[n].sum_d) << "node " << n;
+      EXPECT_EQ(a.sum_d2, ref[n].sum_d2) << "node " << n;
+      EXPECT_EQ(a.sum_m, ref[n].sum_m) << "node " << n;
+      EXPECT_EQ(a.sum_m2, ref[n].sum_m2) << "node " << n;
+    }
     total += ref[n].count;
     with_mivs += ref[n].sum_m > 0;
   }
   EXPECT_EQ(fx.graph.num_topedges(), total);
+  EXPECT_EQ(sharded.num_topedges(), total);
   EXPECT_GT(with_mivs, 0u) << "no Topedge passes through an MIV";
 }
 

@@ -23,9 +23,11 @@
 #include <thread>
 #include <vector>
 
+#include "atpg/coverage.h"
 #include "eval/benchmarks.h"
 #include "eval/datagen.h"
 #include "eval/experiments.h"
+#include "graphx/hetero_graph.h"
 #include "obs/exemplar.h"
 #include "obs/httpd.h"
 #include "obs/log.h"
@@ -191,6 +193,12 @@ TEST(AdminHttp, MetricsServesConformantPrometheusText) {
   ASSERT_FALSE(ds.samples.empty());
   design.make_diagnoser().diagnose(ds.samples.front().log);
 
+  // The design build's sharded sweeps publish their labelled executors'
+  // stats (explicit thread counts force the sharded path on tiny).
+  atpg::detect_faults(*design.fsim->clone(),
+                      atpg::enumerate_tdf_faults(design.sites), 2);
+  { const graphx::HeteroGraph sharded(design.nl, design.sites, 2); }
+
   AdminFixture fx;
   // Registering a design publishes its per-component byte gauges.
   fx.service.register_design(design);
@@ -206,7 +214,11 @@ TEST(AdminHttp, MetricsServesConformantPrometheusText) {
   for (const char* name :
        {"m3dfl_diag_backtrace_gates_total", "m3dfl_diag_sites_scored_total",
         "m3dfl_diag_sites_matched_total", "m3dfl_mem_graph_bytes",
-        "m3dfl_mem_sim_arena_bytes", "m3dfl_mem_sim_core_bytes"}) {
+        "m3dfl_mem_sim_arena_bytes", "m3dfl_mem_sim_core_bytes",
+        "m3dfl_executor_fault_drop_tasks_total",
+        "m3dfl_executor_fault_drop_utilization",
+        "m3dfl_executor_topnode_sweep_tasks_total",
+        "m3dfl_executor_topnode_sweep_max_queued"}) {
     EXPECT_NE(r.body.find(name), std::string::npos) << name;
   }
   const std::vector<std::string> violations = obs::prometheus_lint(r.body);
@@ -235,6 +247,30 @@ TEST(AdminHttp, StatuszReportsBuildAndServiceShape) {
   EXPECT_NE(r.body.find("\"model_name\":\"default\""), std::string::npos);
   EXPECT_NE(r.body.find("\"num_threads\":2"), std::string::npos);
   EXPECT_NE(r.body.find("\"batcher_pending_high_water\""), std::string::npos);
+}
+
+// /statusz carries the registered design's shared-structure bytes under
+// their registry names, equal to the gauges /metrics serves.
+TEST(AdminHttp, StatuszReportsDesignMemory) {
+  const eval::Design& design =
+      eval::cached_design(eval::tiny_spec(), eval::Config::kSyn2);
+  AdminFixture fx;
+  fx.service.register_design(design);
+  const HttpReply r = http_get(fx.server.port(), "/statusz");
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.status, 200);
+  const std::size_t memory = r.body.find("\"memory\":{");
+  ASSERT_NE(memory, std::string::npos) << r.body;
+  for (const char* name :
+       {"mem.graph_bytes", "mem.sim_arena_bytes", "mem.sim_core_bytes"}) {
+    const std::string key = std::string("\"") + name + "\":";
+    const std::size_t at = r.body.find(key, memory);
+    ASSERT_NE(at, std::string::npos) << name << " in " << r.body;
+    const double value = std::strtod(r.body.c_str() + at + key.size(), nullptr);
+    EXPECT_GT(value, 0.0) << name;
+    EXPECT_EQ(value, obs::MetricsRegistry::instance().gauge(name).value())
+        << name;
+  }
 }
 
 TEST(AdminHttp, TracezCarriesSpansAndExemplars) {

@@ -410,7 +410,8 @@ TEST(Tracer, ChromeTraceExportIsValidJson) {
 // --- Traced pipeline: coverage + bit-identity ------------------------------
 
 // A design build explains itself: its span has one child per build stage,
-// in flow order, each inside the build on the same thread.
+// in flow order, each inside the build on the same thread, and ATPG's
+// fault-dropping pass nests inside its stage.
 TEST(Tracer, DesignBuildSplitsIntoStageSpans) {
   reset_tracer();
   const auto d = eval::build_design(eval::tiny_spec(), eval::Config::kSyn2);
@@ -430,6 +431,16 @@ TEST(Tracer, DesignBuildSplitsIntoStageSpans) {
     previous_end = e->start_ns + e->dur_ns;
   }
   EXPECT_LE(previous_end, build->start_ns + build->dur_ns);
+
+  // ATPG's random-base fault-dropping pass is a span of its own, inside
+  // design.atpg.
+  const obs::SpanEvent* atpg = find_span(events, "design.atpg");
+  const obs::SpanEvent* drop = find_span(events, "design.fault_drop");
+  ASSERT_NE(drop, nullptr);
+  EXPECT_EQ(drop->tid, atpg->tid);
+  EXPECT_EQ(drop->depth, atpg->depth + 1);
+  EXPECT_GE(drop->start_ns, atpg->start_ns);
+  EXPECT_LE(drop->start_ns + drop->dur_ns, atpg->start_ns + atpg->dur_ns);
 }
 
 TEST(TracedPipeline, CoversStagesAcrossThreadsWithoutPerturbingResults) {

@@ -3,8 +3,8 @@
 // fault-dictionary campaigns bit-identical to unpartitioned ones across
 // backends and thread counts, out-of-core (spilled) lookups identical to
 // in-memory ones, the datagen + parallel-diagnosis flow end-to-end, the
-// per-worker memory footprints of the Diagnoser and the fault simulator, and
-// the bytes the heterogeneous graph retains.
+// per-worker memory footprints of the Diagnoser and the fault simulator, the
+// bytes the heterogeneous graph retains, and the threaded design build.
 //
 // Everything heavier than the generator runs against one process-cached
 // m3d100k design, so the binary stays within the suite's slowest-test
@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <malloc.h>
@@ -21,6 +22,7 @@
 #include <new>
 #include <vector>
 
+#include "atpg/patterns.h"
 #include "common/rng.h"
 #include "diagnosis/diagnoser.h"
 #include "diagnosis/dictionary.h"
@@ -321,6 +323,54 @@ TEST(PaperScale, GraphHoldsNoPerTopnodeLists) {
   }
   EXPECT_EQ(graph->num_topedges(), topedges);
   EXPECT_GT(topedges, graph->num_nodes());
+}
+
+// The threaded design build at paper scale. m3d100k Syn-2's random base
+// detects 559,568 of its 847,644 TDF faults (66.0% test coverage) on one
+// thread and on four, and the four-shard Topnode sweep equals the serial one
+// on every node. The design itself is built with the default thread count.
+TEST(PaperScale, ThreadedBuildMatchesSerial) {
+  const eval::BenchmarkSpec spec = eval::m3d100k_spec();
+  const auto d = eval::build_design(spec, eval::Config::kSyn2);
+  const std::size_t faults = 2 * d->sites.size();
+  EXPECT_EQ(faults, 847'644u);
+  EXPECT_EQ(std::llround(d->atpg_coverage * static_cast<double>(faults)),
+            559'568);
+  EXPECT_NEAR(d->test_coverage, 0.660, 0.0005);
+
+  atpg::PatternGenOptions pgen;
+  pgen.num_patterns = spec.num_patterns;
+  pgen.seed = derive_seed(
+      spec.seed, 41 + static_cast<std::uint64_t>(eval::Config::kSyn2));
+  for (std::size_t threads : {1, 4}) {
+    const atpg::TdfPatternPair pair = atpg::generate_tdf_patterns_with_topoff(
+        d->core->shared_arena(), d->sites, pgen, spec.max_topoff_patterns,
+        threads);
+    EXPECT_EQ(pair.coverage, d->atpg_coverage) << threads;
+    EXPECT_EQ(pair.test_coverage, d->test_coverage) << threads;
+    EXPECT_EQ(pair.num_topoff, 0u) << threads;
+    for (std::size_t i = 0; i < d->patterns.num_inputs(); ++i) {
+      ASSERT_TRUE(std::ranges::equal(pair.v1.row(i), d->patterns.row(i)));
+      ASSERT_TRUE(std::ranges::equal(pair.v2.row(i), d->patterns_v2.row(i)));
+    }
+  }
+
+  const graphx::HeteroGraph& built = *d->graph;
+  const graphx::HeteroGraph serial(d->nl, d->sites, 1);
+  const graphx::HeteroGraph sharded(d->nl, d->sites, 4);
+  EXPECT_EQ(sharded.num_topedges(), serial.num_topedges());
+  EXPECT_EQ(built.num_topedges(), serial.num_topedges());
+  std::size_t mismatched = 0;
+  for (netlist::SiteId n = 0; n < serial.num_nodes(); ++n) {
+    const auto& want = serial.top_agg(n);
+    for (const graphx::HeteroGraph* g : {&sharded, &built}) {
+      const auto& got = g->top_agg(n);
+      mismatched += got.count != want.count || got.sum_d != want.sum_d ||
+                    got.sum_d2 != want.sum_d2 || got.sum_m != want.sum_m ||
+                    got.sum_m2 != want.sum_m2;
+    }
+  }
+  EXPECT_EQ(mismatched, 0u);
 }
 
 }  // namespace
