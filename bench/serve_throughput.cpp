@@ -1,8 +1,8 @@
 // Throughput comparison of the two deployment shapes of the diagnosis
 // flow: single-request sequential diagnosis (the `m3dfl diagnose` path,
-// one failure log at a time) versus the concurrent batched serving
-// subsystem (src/serve/: micro-batcher + thread-pool executor + sub-graph
-// LRU cache). Prints requests/sec and latency percentiles for both, and
+// one failure log at a time) versus the concurrent serving subsystem
+// (src/serve/: bounded admission + thread-pool executor + sub-graph LRU
+// cache). Prints requests/sec and latency percentiles for both, and
 // emits BENCH_serve_throughput.json (google-benchmark JSON schema) so CI
 // trend tooling can ingest the record.
 
@@ -207,7 +207,9 @@ int main(int argc, char** argv) {
     seq.wall_seconds = seconds_since(t0);
   }
 
-  // Served: all requests in flight at once through the batched service.
+  // Served: all requests in flight at once through the concurrent service.
+  // The run names keep their old "batched" wording: the gated baseline in
+  // bench/baselines/ matches runs by name.
   Run served;
   served.name = serve_mode == eval::InferenceMode::kInt8
                     ? "served (4 threads, batched, int8)"
@@ -242,13 +244,11 @@ int main(int argc, char** argv) {
     served.wall_seconds = seconds_since(t0);
 
     const serve::MetricsSnapshot m = service.metrics().snapshot();
-    std::printf("service: %llu batches (mean %.2f items), cache hit rate %.1f%%\n",
-                static_cast<unsigned long long>(m.batches), m.mean_batch,
+    std::printf("service: %llu requests, %llu rejected, cache hit rate "
+                "%.1f%%\n\n",
+                static_cast<unsigned long long>(m.requests),
+                static_cast<unsigned long long>(m.rejected),
                 m.cache_hit_rate * 100.0);
-    std::printf("flush reasons: %llu size, %llu deadline, %llu shutdown\n\n",
-                static_cast<unsigned long long>(m.flush_size),
-                static_cast<unsigned long long>(m.flush_deadline),
-                static_cast<unsigned long long>(m.flush_shutdown));
     service_metrics_json = service.metrics().to_json();
   }
 
@@ -339,8 +339,7 @@ int main(int argc, char** argv) {
   t.print();
   std::printf("\nThroughput: served = %.2fx sequential\n",
               seq.rps() > 0.0 ? served.rps() / seq.rps() : 0.0);
-  std::puts("(served per-request latency includes micro-batching wait and");
-  std::puts(" queueing — the trade the batcher makes for throughput)");
+  std::puts("(served per-request latency includes executor queueing)");
   std::printf("Inference (%s, single thread): int8 = %.2fx fp32\n",
               inference_spec.c_str(),
               inf_fp32.rps() > 0.0 ? inf_int8.rps() / inf_fp32.rps() : 0.0);

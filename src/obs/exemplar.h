@@ -24,7 +24,7 @@ struct ExemplarStage {
 struct RequestExemplar {
   std::uint64_t request_id = 0;
   double total_ms = 0.0;
-  double queue_ms = 0.0;    ///< submit → worker pickup (batcher + executor).
+  double queue_ms = 0.0;    ///< submit → worker pickup (executor queue).
   double service_ms = 0.0;  ///< worker pickup → response ready.
   bool ok = false;
   bool cache_hit = false;

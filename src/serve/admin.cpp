@@ -189,10 +189,9 @@ void register_admin_endpoints(obs::AdminHttpServer& server,
        << ",\"model_version\":" << service.live_model_version()
        << ",\"ready\":" << (service.ready() ? "true" : "false")
        << ",\"num_threads\":" << o.num_threads
-       << ",\"max_batch\":" << o.max_batch
-       << ",\"max_wait_us\":" << o.max_wait.count()
+       << ",\"max_pending\":" << o.max_pending
        << ",\"cache_capacity\":" << o.cache_capacity
-       << ",\"batcher_pending_high_water\":" << service.batcher_high_water()
+       << ",\"pending_high_water\":" << service.pending_high_water()
        << "},\"memory\":{";
     // The registered design's shared structures, by their registry names
     // (whole bytes, so integers).

@@ -15,7 +15,7 @@ class DiagnosisService;
 ///   /metrics       Prometheus text exposition of the global MetricsRegistry
 ///   /metrics.json  {"registry":<registry json>,"service":<service json>}
 ///   /statusz       build info, obs state, uptime, ServiceOptions, live
-///                  model version, batcher queue-depth high-water
+///                  model version, pending-request high-water
 ///   /tracez        recent tracer spans + slow-request exemplar store
 ///
 /// Handlers only read atomics and mutex-guarded snapshots of state the

@@ -8,25 +8,13 @@
 
 namespace m3dfl::serve {
 
-const char* flush_reason_name(FlushReason r) {
-  switch (r) {
-    case FlushReason::kSize: return "size";
-    case FlushReason::kDeadline: return "deadline";
-    case FlushReason::kShutdown: return "shutdown";
-  }
-  return "?";
-}
-
 void ServiceMetrics::on_request() {
   requests_.fetch_add(1, std::memory_order_relaxed);
   in_flight_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ServiceMetrics::on_batch(std::size_t items, FlushReason reason) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batch_items_.fetch_add(items, std::memory_order_relaxed);
-  flush_reasons_[static_cast<std::size_t>(reason)].fetch_add(
-      1, std::memory_order_relaxed);
+void ServiceMetrics::on_reject() {
+  rejected_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServiceMetrics::on_cache(bool hit) {
@@ -69,22 +57,11 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   s.completed = completed_.load(std::memory_order_relaxed);
   s.errors = errors_.load(std::memory_order_relaxed);
   s.in_flight = in_flight_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batch_items = batch_items_.load(std::memory_order_relaxed);
-  s.flush_size = flush_reasons_[static_cast<std::size_t>(FlushReason::kSize)]
-                     .load(std::memory_order_relaxed);
-  s.flush_deadline =
-      flush_reasons_[static_cast<std::size_t>(FlushReason::kDeadline)].load(
-          std::memory_order_relaxed);
-  s.flush_shutdown =
-      flush_reasons_[static_cast<std::size_t>(FlushReason::kShutdown)].load(
-          std::memory_order_relaxed);
+  s.rejected = rejected_.load(std::memory_order_relaxed);
+  s.batches = s.batch_items = s.requests;
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   s.hot_swaps_observed = hot_swaps_observed_.load(std::memory_order_relaxed);
-  s.mean_batch = s.batches ? static_cast<double>(s.batch_items) /
-                                 static_cast<double>(s.batches)
-                           : 0.0;
   const std::uint64_t lookups = s.cache_hits + s.cache_misses;
   s.cache_hit_rate = lookups ? static_cast<double>(s.cache_hits) /
                                    static_cast<double>(lookups)
@@ -108,11 +85,7 @@ std::string ServiceMetrics::render(const std::string& title) const {
   table.add_row({"completed", std::to_string(s.completed)});
   table.add_row({"errors", std::to_string(s.errors)});
   table.add_row({"in flight", std::to_string(s.in_flight)});
-  table.add_row({"batches", std::to_string(s.batches)});
-  table.add_row({"mean batch size", fmt(s.mean_batch, 2)});
-  table.add_row({"flushes (size)", std::to_string(s.flush_size)});
-  table.add_row({"flushes (deadline)", std::to_string(s.flush_deadline)});
-  table.add_row({"flushes (shutdown)", std::to_string(s.flush_shutdown)});
+  table.add_row({"rejected", std::to_string(s.rejected)});
   table.add_row({"cache hit rate", fmt_pct(s.cache_hit_rate)});
   table.add_row({"hot swaps observed", std::to_string(s.hot_swaps_observed)});
   table.add_row({"mean latency (ms)", fmt(s.mean_latency_ms, 3)});
@@ -134,10 +107,7 @@ std::string ServiceMetrics::to_json() const {
   std::ostringstream os;
   os << "{\"requests\":" << s.requests << ",\"completed\":" << s.completed
      << ",\"errors\":" << s.errors << ",\"in_flight\":" << s.in_flight
-     << ",\"batches\":" << s.batches << ",\"batch_items\":" << s.batch_items
-     << ",\"mean_batch\":" << num(s.mean_batch) << ",\"flush_reasons\":{"
-     << "\"size\":" << s.flush_size << ",\"deadline\":" << s.flush_deadline
-     << ",\"shutdown\":" << s.flush_shutdown << "}"
+     << ",\"rejected\":" << s.rejected
      << ",\"cache_hits\":" << s.cache_hits
      << ",\"cache_misses\":" << s.cache_misses
      << ",\"cache_hit_rate\":" << num(s.cache_hit_rate)

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <array>
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -15,34 +13,29 @@ namespace m3dfl::serve {
 /// serve API and existing call sites intact.
 using LatencyHistogram = obs::LatencyHistogram;
 
-/// Why the micro-batcher handed a batch to the flush callback.
-enum class FlushReason : std::uint8_t {
-  kSize,      ///< The batch reached max_batch items.
-  kDeadline,  ///< max_wait elapsed since the batch's first item.
-  kShutdown,  ///< Destructor drained the pending items.
-};
-
-const char* flush_reason_name(FlushReason r);
-
 /// One coherent reading of every service counter (taken with relaxed loads;
 /// individual counters are exact, cross-counter relations are approximate
 /// while requests are in flight and exact once the service is drained).
 struct MetricsSnapshot {
   std::uint64_t requests = 0;    ///< Accepted by submit().
   std::uint64_t completed = 0;   ///< Responses delivered (ok or error).
-  std::uint64_t errors = 0;      ///< Responses with ok == false.
+  std::uint64_t errors = 0;      ///< Accepted requests answered !ok.
   std::uint64_t in_flight = 0;   ///< Accepted, response not yet delivered.
-  std::uint64_t batches = 0;     ///< Micro-batches flushed.
-  std::uint64_t batch_items = 0; ///< Sum of flushed batch sizes.
-  std::uint64_t flush_size = 0;      ///< Batches flushed because full.
-  std::uint64_t flush_deadline = 0;  ///< Batches flushed on the deadline.
-  std::uint64_t flush_shutdown = 0;  ///< Batches flushed at teardown.
+  std::uint64_t rejected = 0;    ///< Turned away by the admission bound
+                                 ///< (answered !ok, never in `requests`).
+  /// Requests dispatched to the executor, each one task: every accepted
+  /// request is a "batch of one", so both equal `requests`. Kept, with
+  /// flush_deadline, because the end-to-end benchmark derives
+  /// serve.batch_size_mean (now 1.0) and serve.flush_deadline_ratio
+  /// (now 0.0) from them and its traced run requires both.
+  std::uint64_t batches = 0;
+  std::uint64_t batch_items = 0;
+  std::uint64_t flush_deadline = 0;  ///< Always 0: no dispatch waits.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t hot_swaps_observed = 0;  ///< Requests served by a model
                                          ///< version newer than the last one
                                          ///< this counter saw.
-  double mean_batch = 0.0;
   double cache_hit_rate = 0.0;   ///< hits / (hits + misses), 0 when idle.
   double mean_latency_ms = 0.0;
   double p50_ms = 0.0;
@@ -63,8 +56,7 @@ struct MetricsSnapshot {
 class ServiceMetrics {
  public:
   void on_request();                       ///< requests++, in-flight++.
-  /// One micro-batch flushed, tagged with why the batcher flushed it.
-  void on_batch(std::size_t items, FlushReason reason);
+  void on_reject();                        ///< rejected++.
   void on_cache(bool hit);
   void on_model_version(std::uint64_t version);
   /// completed++, in-flight--, latency recorded; errors++ when !ok.
@@ -96,9 +88,7 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> in_flight_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batch_items_{0};
-  std::array<std::atomic<std::uint64_t>, 3> flush_reasons_{};
+  std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
   std::atomic<std::uint64_t> hot_swaps_observed_{0};

@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <exception>
 #include <stdexcept>
 #include <type_traits>
@@ -95,12 +96,10 @@ DiagnosisService::DiagnosisService(ModelRegistry& registry,
                                    ServiceOptions opts)
     : opts_(opts),
       model_(registry.handle(opts.model_name)),
+      // Resolved here so /metrics shows the counter at 0 before any burst.
+      rejected_(obs::MetricsRegistry::instance().counter("serve.rejected")),
       subgraph_cache_(opts.cache_capacity),
-      executor_(opts.num_threads, "serve"),
-      batcher_({opts.max_batch, opts.max_wait},
-               [this](std::vector<Pending>&& batch, FlushReason reason) {
-                 flush_batch(std::move(batch), reason);
-               }) {
+      executor_(opts.num_threads, "serve") {
   // 0 = fp32, 1 = int8: the configured mode as a scrapable gauge (the
   // effective per-request mode can differ on fallback — see the counters).
   obs::MetricsRegistry::instance()
@@ -148,42 +147,33 @@ std::future<DiagnosisResponse> DiagnosisService::submit(
     const auto it = designs_.find(&design);
     p.state = it == designs_.end() ? nullptr : it->second.get();
   }
-  metrics_.on_request();
+  bool admitted = false;
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
-    ++accepted_;
-  }
-  if (p.state == nullptr) {
-    DiagnosisResponse r;
-    r.error = "design not registered with the service";
-    r.request_id = p.request_id;
-    // rid in the log line matches the response, the /tracez exemplar, and
-    // the client-side error — one identifier across all three surfaces.
-    M3DFL_LOG_WARN("serve", "rid=%llu rejected: design not registered",
-                   static_cast<unsigned long long>(p.request_id));
-    metrics_.on_complete_split(0.0, 0.0, false);
-    p.promise->set_value(std::move(r));
-    {
-      std::lock_guard<std::mutex> lock(drain_mu_);
-      ++finished_;
+    if (accepted_ - finished_ < opts_.max_pending) {
+      admitted = true;
+      ++accepted_;
+      pending_high_water_ =
+          std::max(pending_high_water_, accepted_ - finished_);
     }
-    drain_cv_.notify_all();
+  }
+  if (!admitted) {
+    // Counted, not logged: an overloaded service should not also flood its
+    // log. The request never reaches the executor.
+    metrics_.on_reject();
+    rejected_.add();
+    DiagnosisResponse r;
+    r.request_id = p.request_id;
+    r.error = "overloaded: " + std::to_string(opts_.max_pending) +
+              " requests already pending";
+    p.promise->set_value(std::move(r));
     return future;
   }
-  batcher_.push(std::move(p));
+  metrics_.on_request();
+  // Each accepted request is one executor task; the executor's FIFO keeps
+  // submission order.
+  executor_.post([this, p = std::move(p)]() mutable { process(p); });
   return future;
-}
-
-void DiagnosisService::flush_batch(std::vector<Pending>&& batch,
-                                   FlushReason reason) {
-  metrics_.on_batch(batch.size(), reason);
-  const auto t_flush = std::chrono::steady_clock::now();
-  // Fan the batch out: every request becomes one executor task, so a batch
-  // of B occupies min(B, num_threads) workers concurrently.
-  for (Pending& item : batch) {
-    item.t_flush = t_flush;
-    executor_.post([this, p = std::move(item)]() mutable { process(p); });
-  }
 }
 
 std::unique_ptr<DiagnosisService::WorkerContext>
@@ -213,7 +203,7 @@ void DiagnosisService::process(Pending& p) {
   M3DFL_OBS_COUNTERS(ctrs, "serve.process");
   using clock = std::chrono::steady_clock;
   // Worker pickup: the boundary between queue wait and service time. Queue
-  // wait = batcher dwell + executor queue; service = everything below.
+  // wait = executor queue; service = everything below.
   const clock::time_point t_start = clock::now();
   const bool want_exemplar = obs::ExemplarStore::instance().enabled();
   auto rel_ms = [&p](clock::time_point a, clock::time_point b) {
@@ -221,13 +211,15 @@ void DiagnosisService::process(Pending& p) {
   };
   std::vector<obs::ExemplarStage> stages;
   if (want_exemplar) {
-    stages.push_back({"serve.batcher_wait", 0.0, rel_ms(p.t_submit, t_start)});
+    stages.push_back({"serve.queue_wait", 0.0, rel_ms(p.t_submit, t_start)});
   }
   DiagnosisResponse r;
   r.request_id = p.request_id;
   try {
     const ModelRegistry::Published* published = model_.current();
-    if (!published) {
+    if (p.state == nullptr) {
+      r.error = "design not registered with the service";
+    } else if (!published) {
       r.error = "no framework published under '" + opts_.model_name + "'";
     } else {
       const eval::Design& d = *p.state->design;
@@ -364,6 +356,11 @@ DiagnosisService::QuantStatus DiagnosisService::live_quant_status() const {
                     ? eval::InferenceMode::kInt8
                     : eval::InferenceMode::kFp32;
   return s;
+}
+
+std::size_t DiagnosisService::pending_high_water() const {
+  std::lock_guard<std::mutex> lock(drain_mu_);
+  return static_cast<std::size_t>(pending_high_water_);
 }
 
 void DiagnosisService::drain() {

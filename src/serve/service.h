@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -16,7 +17,6 @@
 #include "eval/benchmarks.h"
 #include "eval/experiments.h"
 #include "graphx/subgraph.h"
-#include "serve/batcher.h"
 #include "serve/cache.h"
 #include "serve/metrics.h"
 #include "serve/model_registry.h"
@@ -26,8 +26,10 @@ namespace m3dfl::serve {
 
 struct ServiceOptions {
   std::size_t num_threads = 4;          ///< Executor workers.
-  std::size_t max_batch = 8;            ///< Micro-batch size cap.
-  std::chrono::microseconds max_wait{2000};  ///< Micro-batch deadline.
+  /// Admission bound: accepted requests not yet finished. A submit() over
+  /// it is answered at once with an "overloaded" error and counted in
+  /// serve.rejected; it never reaches the executor.
+  std::size_t max_pending = 65536;
   std::size_t cache_capacity = 256;     ///< Sub-graph LRU entries (0 = off).
   std::string model_name = "default";   ///< Registry name served.
   /// Which forward pass the policy models run. kInt8 requires the
@@ -50,13 +52,13 @@ struct DiagnosisResponse {
   bool cache_hit = false;            ///< Sub-graph came from the LRU cache.
   std::uint64_t request_id = 0;      ///< Service-assigned (1-based) trace id.
   double seconds = 0.0;              ///< End-to-end latency (submit→ready).
-  double queue_seconds = 0.0;    ///< submit → worker pickup (batcher+queue).
+  double queue_seconds = 0.0;    ///< submit → worker pickup (executor queue).
   double service_seconds = 0.0;  ///< worker pickup → response ready.
 };
 
 /// Long-lived, concurrent diagnosis-inference service:
 ///
-///   submit(design, log) → micro-batcher → executor fan-out →
+///   submit(design, log) → admission bound → executor task →
 ///     per-worker ATPG diagnosis → (cached) back-trace sub-graph →
 ///     GNN policy with the registry's live framework → future<Response>
 ///
@@ -123,10 +125,10 @@ class DiagnosisService {
   };
   QuantStatus live_quant_status() const;
 
-  /// Batcher queue-depth high-water mark (see Batcher::pending_high_water).
-  std::size_t batcher_high_water() const {
-    return batcher_.pending_high_water();
-  }
+  /// High-water mark of accepted requests not yet finished (queued plus
+  /// running): the queue-depth signal /statusz reports. Never exceeds
+  /// options().max_pending.
+  std::size_t pending_high_water() const;
 
  private:
   /// Private stateful diagnosis context (one per concurrently running
@@ -139,9 +141,8 @@ class DiagnosisService {
     sim::FailureLog log;
     std::shared_ptr<std::promise<DiagnosisResponse>> promise;
     std::uint64_t request_id = 0;  ///< Assigned by submit(), rides the
-                                   ///< batcher into the worker span.
+                                   ///< executor task into the worker span.
     std::chrono::steady_clock::time_point t_submit;
-    std::chrono::steady_clock::time_point t_flush;  ///< Batcher hand-off.
   };
 
   struct CacheKey {
@@ -158,7 +159,6 @@ class DiagnosisService {
     }
   };
 
-  void flush_batch(std::vector<Pending>&& batch, FlushReason reason);
   void process(Pending& p);
   std::unique_ptr<WorkerContext> acquire_context(DesignState& state);
   void release_context(DesignState& state, std::unique_ptr<WorkerContext> c);
@@ -166,22 +166,23 @@ class DiagnosisService {
   ServiceOptions opts_;
   ModelRegistry::Handle model_;
   ServiceMetrics metrics_;
+  obs::Counter& rejected_;  ///< Registry twin of metrics_'s rejected count.
   LruCache<CacheKey, graphx::SubGraph, CacheKeyHash> subgraph_cache_;
 
   std::mutex designs_mu_;
   std::map<const eval::Design*, std::unique_ptr<DesignState>> designs_;
 
-  std::mutex drain_mu_;
+  mutable std::mutex drain_mu_;
   std::condition_variable drain_cv_;
   std::uint64_t accepted_ = 0;
   std::uint64_t finished_ = 0;
+  std::uint64_t pending_high_water_ = 0;  ///< Max of accepted_ - finished_.
   std::atomic<std::uint64_t> next_request_id_{1};
 
-  // Destruction order matters: ~batcher_ flushes pending items into
-  // executor_, ~executor_ runs every queued task to completion, and both
-  // still reference the members above — so these two stay last.
+  // Destruction order matters: ~executor_ runs every queued task to
+  // completion, and those tasks still reference the members above — so it
+  // stays last.
   Executor executor_;
-  Batcher<Pending> batcher_;
 };
 
 /// Order- and content-sensitive fingerprint of a failure log (cache key).

@@ -218,7 +218,9 @@ TEST(AdminHttp, MetricsServesConformantPrometheusText) {
         "m3dfl_executor_fault_drop_tasks_total",
         "m3dfl_executor_fault_drop_utilization",
         "m3dfl_executor_topnode_sweep_tasks_total",
-        "m3dfl_executor_topnode_sweep_max_queued"}) {
+        "m3dfl_executor_topnode_sweep_max_queued",
+        // Created with the service, so it is scrapable before any overload.
+        "m3dfl_serve_rejected_total"}) {
     EXPECT_NE(r.body.find(name), std::string::npos) << name;
   }
   const std::vector<std::string> violations = obs::prometheus_lint(r.body);
@@ -246,7 +248,8 @@ TEST(AdminHttp, StatuszReportsBuildAndServiceShape) {
   EXPECT_NE(r.body.find("\"uptime_seconds\""), std::string::npos);
   EXPECT_NE(r.body.find("\"model_name\":\"default\""), std::string::npos);
   EXPECT_NE(r.body.find("\"num_threads\":2"), std::string::npos);
-  EXPECT_NE(r.body.find("\"batcher_pending_high_water\""), std::string::npos);
+  EXPECT_NE(r.body.find("\"max_pending\":65536"), std::string::npos);
+  EXPECT_NE(r.body.find("\"pending_high_water\":0"), std::string::npos);
 }
 
 // /statusz carries the registered design's shared-structure bytes under

@@ -1,7 +1,7 @@
 // Tests of the concurrent diagnosis-serving subsystem (src/serve/):
-// executor semantics, micro-batcher size/deadline behaviour, LRU cache
-// eviction and accounting, latency histogram percentiles, model-registry
-// hot-swap under concurrent load, and — the acceptance bar — bit-identical
+// executor semantics, LRU cache eviction and accounting, latency histogram
+// percentiles, model-registry hot-swap under concurrent load, bounded
+// admission under overload, and — the acceptance bar — bit-identical
 // equivalence of served vs. sequential diagnosis while >= 4 worker threads
 // handle >= 64 concurrent requests with a mid-stream model hot-swap.
 
@@ -9,8 +9,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -22,7 +20,7 @@
 #include "obs/exemplar.h"
 #include "eval/experiments.h"
 #include "eval/framework_io.h"
-#include "serve/batcher.h"
+#include "obs/metrics.h"
 #include "serve/cache.h"
 #include "serve/metrics.h"
 #include "serve/model_registry.h"
@@ -98,105 +96,6 @@ TEST(Executor, WaitIdleBlocksUntilQueueEmpty) {
   EXPECT_EQ(pool.queued(), 0u);
 }
 
-// --- Batcher -----------------------------------------------------------------
-
-/// Collects flushed batches and lets the test block until enough items
-/// arrived (the batcher flushes on its own thread).
-struct BatchCollector {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::vector<int>> batches;
-  std::vector<serve::FlushReason> reasons;  ///< Parallel to `batches`.
-  std::size_t items = 0;
-
-  void on_flush(std::vector<int>&& batch, serve::FlushReason reason) {
-    std::lock_guard<std::mutex> lock(mu);
-    items += batch.size();
-    batches.push_back(std::move(batch));
-    reasons.push_back(reason);
-    cv.notify_all();
-  }
-  bool wait_for_items(std::size_t n) {
-    std::unique_lock<std::mutex> lock(mu);
-    return cv.wait_for(lock, 5s, [&] { return items >= n; });
-  }
-};
-
-TEST(Batcher, FlushesWhenBatchFills) {
-  BatchCollector sink;
-  serve::Batcher<int>::Options opts;
-  opts.max_batch = 4;
-  opts.max_wait = 10min;  // Deadline effectively off: size must trigger.
-  serve::Batcher<int> batcher(opts,
-                              [&](std::vector<int>&& b, serve::FlushReason r) {
-                                sink.on_flush(std::move(b), r);
-                              });
-  for (int i = 0; i < 4; ++i) batcher.push(i);
-  ASSERT_TRUE(sink.wait_for_items(4));
-  std::lock_guard<std::mutex> lock(sink.mu);
-  ASSERT_EQ(sink.batches.size(), 1u);
-  EXPECT_EQ(sink.batches[0], (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(sink.reasons[0], serve::FlushReason::kSize);
-}
-
-TEST(Batcher, FlushesPartialBatchAtDeadline) {
-  BatchCollector sink;
-  serve::Batcher<int>::Options opts;
-  opts.max_batch = 64;  // Never fills: only the deadline can flush.
-  opts.max_wait = 20ms;
-  serve::Batcher<int> batcher(opts,
-                              [&](std::vector<int>&& b, serve::FlushReason r) {
-                                sink.on_flush(std::move(b), r);
-                              });
-  batcher.push(1);
-  batcher.push(2);
-  batcher.push(3);
-  ASSERT_TRUE(sink.wait_for_items(3));
-  std::lock_guard<std::mutex> lock(sink.mu);
-  ASSERT_EQ(sink.batches.size(), 1u);
-  EXPECT_EQ(sink.batches[0].size(), 3u);
-  EXPECT_EQ(sink.reasons[0], serve::FlushReason::kDeadline);
-}
-
-TEST(Batcher, SplitsOversizedBurstsIntoMaxBatchChunks) {
-  BatchCollector sink;
-  serve::Batcher<int>::Options opts;
-  opts.max_batch = 8;
-  opts.max_wait = 5ms;
-  serve::Batcher<int> batcher(opts,
-                              [&](std::vector<int>&& b, serve::FlushReason r) {
-                                sink.on_flush(std::move(b), r);
-                              });
-  for (int i = 0; i < 20; ++i) batcher.push(i);
-  ASSERT_TRUE(sink.wait_for_items(20));
-  std::lock_guard<std::mutex> lock(sink.mu);
-  std::size_t total = 0;
-  for (const auto& b : sink.batches) {
-    EXPECT_LE(b.size(), 8u);
-    total += b.size();
-  }
-  EXPECT_EQ(total, 20u);
-}
-
-TEST(Batcher, DestructorFlushesPending) {
-  BatchCollector sink;
-  {
-    serve::Batcher<int>::Options opts;
-    opts.max_batch = 64;
-    opts.max_wait = 10min;
-    serve::Batcher<int> batcher(opts,
-                                [&](std::vector<int>&& b,
-                                    serve::FlushReason r) {
-                                  sink.on_flush(std::move(b), r);
-                                });
-    batcher.push(42);
-  }  // Destruction must not lose the pending item.
-  std::lock_guard<std::mutex> lock(sink.mu);
-  EXPECT_EQ(sink.items, 1u);
-  ASSERT_EQ(sink.reasons.size(), 1u);
-  EXPECT_EQ(sink.reasons[0], serve::FlushReason::kShutdown);
-}
-
 // --- LRU cache ---------------------------------------------------------------
 
 TEST(LruCache, EvictsLeastRecentlyUsedAndCountsHits) {
@@ -254,8 +153,7 @@ TEST(LatencyHistogram, PercentilesAreOrderedAndBracketed) {
 TEST(ServiceMetrics, SnapshotTracksCountersCoherently) {
   serve::ServiceMetrics metrics;
   for (int i = 0; i < 10; ++i) metrics.on_request();
-  metrics.on_batch(6, serve::FlushReason::kSize);
-  metrics.on_batch(4, serve::FlushReason::kDeadline);
+  metrics.on_reject();
   for (int i = 0; i < 10; ++i) {
     metrics.on_cache(i % 2 == 0);
     metrics.on_model_version(i < 5 ? 1 : 2);
@@ -266,11 +164,11 @@ TEST(ServiceMetrics, SnapshotTracksCountersCoherently) {
   EXPECT_EQ(s.completed, 10u);
   EXPECT_EQ(s.errors, 1u);
   EXPECT_EQ(s.in_flight, 0u);
-  EXPECT_EQ(s.batches, 2u);
-  EXPECT_DOUBLE_EQ(s.mean_batch, 5.0);
-  EXPECT_EQ(s.flush_size, 1u);
-  EXPECT_EQ(s.flush_deadline, 1u);
-  EXPECT_EQ(s.flush_shutdown, 0u);
+  EXPECT_EQ(s.rejected, 1u);
+  // Every accepted request is dispatched alone, never on a deadline.
+  EXPECT_EQ(s.batches, 10u);
+  EXPECT_EQ(s.batch_items, 10u);
+  EXPECT_EQ(s.flush_deadline, 0u);
   EXPECT_EQ(s.cache_hits, 5u);
   EXPECT_EQ(s.cache_misses, 5u);
   EXPECT_DOUBLE_EQ(s.cache_hit_rate, 0.5);
@@ -280,9 +178,7 @@ TEST(ServiceMetrics, SnapshotTracksCountersCoherently) {
   EXPECT_NE(table.find("p99"), std::string::npos);
   const std::string js = metrics.to_json();
   EXPECT_NE(js.find("\"requests\":10"), std::string::npos);
-  EXPECT_NE(js.find("\"flush_reasons\":{\"size\":1,\"deadline\":1,"
-                    "\"shutdown\":0}"),
-            std::string::npos);
+  EXPECT_NE(js.find("\"rejected\":1"), std::string::npos);
 }
 
 // --- Model registry ----------------------------------------------------------
@@ -453,8 +349,6 @@ TEST(DiagnosisService, ServedIsBitIdenticalToDirectUnderLoadWithHotSwap) {
 
   serve::ServiceOptions opts;
   opts.num_threads = 4;
-  opts.max_batch = 8;
-  opts.max_wait = std::chrono::microseconds(500);
   serve::DiagnosisService service(registry, opts);
   service.register_design(*fx.design);
 
@@ -510,7 +404,9 @@ TEST(DiagnosisService, ServedIsBitIdenticalToDirectUnderLoadWithHotSwap) {
   // Each distinct log back-traces at most... once per concurrent dogpile;
   // with 4 rounds of 16 logs there must be real hits.
   EXPECT_GT(s.cache_hits, 0u);
-  EXPECT_GE(s.batches, (n * kRounds) / opts.max_batch);
+  EXPECT_EQ(s.rejected, 0u);
+  EXPECT_EQ(s.batches, n * kRounds);
+  EXPECT_EQ(s.batch_items, n * kRounds);
   EXPECT_GT(s.hot_swaps_observed, 0u);
 }
 
@@ -603,6 +499,60 @@ TEST(DiagnosisService, OutOfRangeLogFailsCleanly) {
   EXPECT_EQ(service.metrics().snapshot().errors, bad.size());
 }
 
+// A burst far over the admission bound: what is over it resolves at once as
+// "overloaded" and is counted, what was admitted is served exactly, and the
+// service stays healthy. How many are rejected depends on timing, so the
+// test asserts identities, not counts.
+TEST(DiagnosisService, BoundedAdmissionRejectsAndCounts) {
+  ServedFixture fx(1);
+  const serve::DiagnosisResponse direct =
+      serve::DiagnosisService::diagnose_direct(*fx.design, fx.fw, fx.logs[0]);
+  serve::ModelRegistry registry;
+  registry.publish("default", fx.fw);
+  serve::ServiceOptions opts;
+  opts.num_threads = 1;
+  opts.max_pending = 2;
+  serve::DiagnosisService service(registry, opts);
+  service.register_design(*fx.design);
+  const obs::Counter& counter =
+      obs::MetricsRegistry::instance().counter("serve.rejected");
+  const std::uint64_t counter0 = counter.value();
+  const std::uint64_t rejected0 = service.metrics().snapshot().rejected;
+
+  constexpr std::size_t kBurst = 256;
+  std::vector<std::future<serve::DiagnosisResponse>> futures;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    futures.push_back(service.submit(*fx.design, fx.logs[0]));
+  }
+  std::size_t accepted = 0, rejected = 0;
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(60s), std::future_status::ready);
+    const serve::DiagnosisResponse r = f.get();
+    EXPECT_GT(r.request_id, 0u);
+    if (r.error.find("overloaded") != std::string::npos) {
+      EXPECT_FALSE(r.ok);
+      ++rejected;
+    } else {
+      expect_same_response(r, direct);
+      ++accepted;
+    }
+  }
+  EXPECT_EQ(accepted + rejected, kBurst);
+  EXPECT_GE(rejected, 1u);
+  service.drain();
+  const serve::MetricsSnapshot s = service.metrics().snapshot();
+  EXPECT_EQ(s.rejected - rejected0, rejected);
+  EXPECT_EQ(counter.value() - counter0, rejected);
+  EXPECT_EQ(s.requests, accepted);
+  EXPECT_EQ(s.errors, 0u);
+  EXPECT_LE(service.pending_high_water(), opts.max_pending);
+
+  const serve::DiagnosisResponse later =
+      service.submit(*fx.design, fx.logs[0]).get();
+  EXPECT_TRUE(later.ok) << later.error;
+  expect_same_response(later, direct);
+}
+
 TEST(DiagnosisService, SplitsLatencyAndAssignsDistinctRequestIds) {
   ServedFixture fx(4);
   serve::ModelRegistry registry;
@@ -668,7 +618,7 @@ TEST(DiagnosisService, ExemplarStoreCapturesServedRequests) {
     // The queue/service split must agree with the total.
     EXPECT_NEAR(e.total_ms, e.queue_ms + e.service_ms, 1e-9);
     for (const obs::ExemplarStage& s : e.stages) {
-      saw_wait = saw_wait || std::string(s.name) == "serve.batcher_wait";
+      saw_wait = saw_wait || std::string(s.name) == "serve.queue_wait";
       saw_diag = saw_diag || std::string(s.name) == "serve.diagnose";
     }
   }

@@ -40,12 +40,14 @@
 //             generated samples; with --inference int8 the saved quantized
 //             twin is evaluated side by side with the fp32 path.
 //   serve     --benchmark <name> --config <cfg> --framework framework.m3dfl
-//             --logs a.faillog,b.faillog,... [--threads N] [--batch N]
-//             [--wait-us N] [--repeat N] [--quiet] [--admin-port N]
+//             --logs a.faillog,b.faillog,... [--threads N]
+//             [--max-pending N] [--repeat N] [--quiet] [--admin-port N]
 //             [--linger-ms N] [--inference fp32|int8]
 //             Batch-diagnose the logs through the concurrent serving stack
-//             (src/serve/): micro-batching, executor fan-out, sub-graph
-//             cache, and a metrics table at the end. With --admin-port the
+//             (src/serve/): bounded admission (--max-pending accepted
+//             requests not yet finished; the rest are rejected as
+//             overloaded), executor fan-out, sub-graph cache, and a
+//             metrics table at the end. With --admin-port the
 //             process exposes the live-introspection plane (/healthz,
 //             /readyz, /metrics, /metrics.json, /statusz, /tracez) on
 //             loopback while it runs; --linger-ms keeps it alive after the
@@ -142,7 +144,7 @@ int usage() {
       "  eval     --benchmark B --framework F [--config C] [--samples N]\n"
       "           [--seed N] [--inference fp32|int8]\n"
       "  serve    --benchmark B --config C --framework framework.m3dfl\n"
-      "           --logs F1,F2,... [--threads N] [--batch N] [--wait-us N]\n"
+      "           --logs F1,F2,... [--threads N] [--max-pending N]\n"
       "           [--repeat N] [--quiet] [--admin-port N] [--linger-ms N]\n"
       "           [--inference fp32|int8]\n"
       "all subcommands also take [--trace out.json] [--metrics-json out.json|-]\n"
@@ -720,12 +722,11 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     *out = *parsed;
     return true;
   };
-  std::uint64_t threads = opts.num_threads, batch = opts.max_batch;
-  std::uint64_t wait_us =
-      static_cast<std::uint64_t>(opts.max_wait.count());
+  std::uint64_t threads = opts.num_threads, max_pending = opts.max_pending;
   std::uint64_t admin_port = 0, linger_ms = 0;
-  if (!numeric("threads", 1, &threads) || !numeric("batch", 1, &batch) ||
-      !numeric("wait-us", 0, &wait_us) || !numeric("repeat", 1, &repeat) ||
+  if (!numeric("threads", 1, &threads) ||
+      !numeric("max-pending", 1, &max_pending) ||
+      !numeric("repeat", 1, &repeat) ||
       !numeric("admin-port", 0, &admin_port) ||
       !numeric("linger-ms", 0, &linger_ms)) {
     return usage();
@@ -736,8 +737,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     return usage();
   }
   opts.num_threads = threads;
-  opts.max_batch = batch;
-  opts.max_wait = std::chrono::microseconds(wait_us);
+  opts.max_pending = max_pending;
   if (!parse_inference_flag(flags, opts.inference)) return usage();
   const bool quiet = flags.count("quiet") > 0;
 
@@ -1025,8 +1025,8 @@ int main(int argc, char** argv) {
              "inference"},
             {}};
   } else if (cmd == "serve") {
-    spec = {{"benchmark", "config", "framework", "logs", "threads", "batch",
-             "wait-us", "repeat", "admin-port", "linger-ms", "inference"},
+    spec = {{"benchmark", "config", "framework", "logs", "threads",
+             "max-pending", "repeat", "admin-port", "linger-ms", "inference"},
             {"quiet"}};
   } else {
     M3DFL_LOG_ERROR("cli", "unknown subcommand '%s'", cmd.c_str());
