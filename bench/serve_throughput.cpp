@@ -208,12 +208,10 @@ int main(int argc, char** argv) {
   }
 
   // Served: all requests in flight at once through the concurrent service.
-  // The run names keep their old "batched" wording: the gated baseline in
-  // bench/baselines/ matches runs by name.
   Run served;
   served.name = serve_mode == eval::InferenceMode::kInt8
-                    ? "served (4 threads, batched, int8)"
-                    : "served (4 threads, batched)";
+                    ? "served (4 threads, int8)"
+                    : "served (4 threads)";
   std::string service_metrics_json;
   {
     serve::ModelRegistry registry;

@@ -18,10 +18,10 @@
 namespace m3dfl {
 
 /// Fixed-size thread pool with a FIFO task queue — the library's reusable
-/// concurrency primitive. The diagnosis service fans per-request inference
-/// out across it, and the offline pipeline (dataset generation, fault-
-/// dictionary campaigns, parallel training epochs) submits plain callables
-/// the same way.
+/// concurrency primitive. The diagnosis service posts each request to one,
+/// the trainer keeps one across its epochs, and every other offline sweep
+/// (datagen, dictionary campaigns, calibration, the design build) reaches
+/// it through for_each_chunk() below.
 ///
 /// Semantics:
 ///  * submit() returns a std::future carrying the callable's result (or its
@@ -113,8 +113,9 @@ std::size_t sweep_shards(std::size_t requested, std::size_t n,
 /// (about 16 per worker) dynamically, so uneven item costs still balance.
 /// Each worker is one shard, so fn may use scratch indexed by `shard`
 /// without locking. Which chunks a shard runs varies between runs: callers
-/// write per-item results or merge shard sums order-free. Rethrows the
-/// first exception a shard threw.
+/// write per-item results or merge shard sums order-free. A shard that
+/// throws stops; the others run on, and once all have stopped the
+/// exception of the lowest-numbered throwing shard is rethrown.
 template <typename F>
 void for_each_chunk(std::size_t num_shards, std::size_t n,
                     std::size_t max_chunk, const char* label, F&& fn) {
@@ -139,6 +140,8 @@ void for_each_chunk(std::size_t num_shards, std::size_t n,
       }
     }));
   }
+  // A rethrow unwinds through ~Executor, which lets every other shard
+  // finish before the exception leaves this function.
   for (auto& f : done) f.get();
 }
 

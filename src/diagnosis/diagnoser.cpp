@@ -4,12 +4,10 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
-#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
-#include "common/executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -28,7 +26,6 @@ Diagnoser::Diagnoser(const Netlist& nl, const SiteTable& sites,
 
 void Diagnoser::bind(FaultSimulator& fsim) {
   fsim_ = &fsim;
-  pool_.reset();  // Clones of the previous simulator are stale.
 }
 
 void Diagnoser::check_log(const FailureLog& log) const {
@@ -304,65 +301,23 @@ std::vector<Candidate> Diagnoser::score_candidates(
   std::vector<Candidate> scored;
   scored.reserve(cand_sites.size());
 
-  // Contiguous candidate chunks, merged back in chunk order, so the scored
-  // sequence is identical at every thread count. The sequential pass is one
-  // chunk on the bound simulator; parallel chunks each take a pooled
-  // simulator clone with private scratch.
-  struct ChunkOut {
-    std::vector<Candidate> cands;
-    std::vector<Signature> sigs;
-  };
-  auto score_chunk = [&](FaultSimulator& sim, ScoreScratch& sc,
-                         std::span<const netlist::SiteId> chunk_sites,
-                         ChunkOut& out) {
-    for (netlist::SiteId site : chunk_sites) {
-      Candidate best;
-      Signature best_sig;
-      if (!score_site(sim, sc, log.compacted, num_rows, site, best,
-                      best_sig)) {
-        continue;
-      }
-      out.cands.push_back(best);
-      if (opts_.multifault) out.sigs.push_back(std::move(best_sig));
-    }
-  };
-  const std::size_t threads =
-      std::min(resolve_num_threads(opts_.num_threads), cand_sites.size());
-  const std::size_t num_chunks =
-      threads <= 1 ? 1 : std::min(cand_sites.size(), threads * 4);
-  const std::size_t chunk = (cand_sites.size() + num_chunks - 1) / num_chunks;
-  std::vector<ChunkOut> outs(num_chunks);
-  if (threads <= 1) {
-    score_chunk(*fsim_, scratch_, cand_sites, outs[0]);
-  } else {
-    if (!pool_) pool_ = std::make_unique<sim::SimulatorPool>(*fsim_);
-    Executor exec(threads, "diag.score");
-    std::vector<std::future<void>> done;
-    done.reserve(num_chunks);
-    for (std::size_t lo = 0, c = 0; lo < cand_sites.size(); lo += chunk, ++c) {
-      const std::span<const netlist::SiteId> chunk_sites(
-          cand_sites.data() + lo, std::min(chunk, cand_sites.size() - lo));
-      done.push_back(exec.submit([&, chunk_sites, out = &outs[c]] {
-        auto sim = pool_->lease();
-        ScoreScratch sc;
-        score_chunk(*sim, sc, chunk_sites, *out);
-      }));
-    }
-    for (auto& f : done) f.get();  // Propagates shard exceptions.
-  }
-  for (ChunkOut& out : outs) {
-    for (Candidate& c : out.cands) scored.push_back(c);
-    for (Signature& s : out.sigs) signatures_.push_back(std::move(s));
+  for (netlist::SiteId site : cand_sites) {
+    Candidate best;
+    Signature best_sig;
+    if (!score_site(log.compacted, num_rows, site, best, best_sig)) continue;
+    scored.push_back(best);
+    if (opts_.multifault) signatures_.push_back(std::move(best_sig));
   }
   // A site is kept iff one of its polarities matched, i.e. reached phase 2.
   matched_ctr.add(scored.size());
   return scored;
 }
 
-bool Diagnoser::score_site(FaultSimulator& sim, ScoreScratch& sc,
-                           bool compacted, std::size_t num_rows,
+bool Diagnoser::score_site(bool compacted, std::size_t num_rows,
                            netlist::SiteId site, Candidate& best,
-                           Signature& best_sig) const {
+                           Signature& best_sig) {
+  FaultSimulator& sim = *fsim_;
+  ScoreScratch& sc = scratch_;
   const std::size_t W = sim.num_words();
   // Sparse compaction scratch: one row per compactor cell, kept all-zero
   // between phases (dirtied rows are wiped after each fold).

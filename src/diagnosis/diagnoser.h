@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -10,7 +9,6 @@
 #include "netlist/fault_site.h"
 #include "sim/failure_log.h"
 #include "sim/fault_sim.h"
-#include "sim/sim_pool.h"
 
 namespace m3dfl::diag {
 
@@ -40,10 +38,6 @@ struct DiagnoserOptions {
   double single_fault_relax = 0.85;
   /// Multi-fault mode: union-based suspect collection + greedy cover.
   bool multifault = false;
-  /// Worker threads for per-candidate fault simulation (0 = one per
-  /// hardware thread). Parallel runs shard over disjoint candidate ranges
-  /// and merge in order, so reports are bit-identical at every thread count.
-  std::size_t num_threads = 1;
 };
 
 /// Effect-cause TDF diagnosis with per-candidate fault-signature matching —
@@ -89,7 +83,7 @@ class Diagnoser {
   struct Signature {
     std::vector<std::uint64_t> keys;  ///< Sorted (cell, pattern) keys.
   };
-  // Per-worker scratch for signature matching (one per scoring shard).
+  // Scratch for signature matching.
   struct ScoreScratch {
     std::vector<Word> pred_diff;  ///< Packed rows, one per pred_touched.
     std::vector<std::uint32_t> pred_touched;
@@ -102,13 +96,12 @@ class Diagnoser {
   std::vector<Candidate> score_candidates(
       const FailureLog& log, const std::vector<netlist::GateId>& suspects);
   /// Scores one candidate site (both TDF polarities) against obs_mask_ in
-  /// two exact phases: its kSlow machine is simulated on the failing
-  /// patterns, and on the passing patterns only if a polarity matched. Returns false when no polarity produced a match. Reads only
-  /// immutable state plus the per-log masks, so shards may run it
-  /// concurrently with private simulators and scratch.
-  bool score_site(FaultSimulator& sim, ScoreScratch& sc, bool compacted,
-                  std::size_t num_rows, netlist::SiteId site, Candidate& best,
-                  Signature& best_sig) const;
+  /// two exact phases on the bound simulator: its kSlow machine is
+  /// simulated on the failing patterns, and on the passing patterns only
+  /// if a polarity matched. Returns false when no polarity produced a
+  /// match.
+  bool score_site(bool compacted, std::size_t num_rows, netlist::SiteId site,
+                  Candidate& best, Signature& best_sig);
   DiagnosisReport assemble_single(std::vector<Candidate> scored);
   DiagnosisReport assemble_multifault(std::vector<Candidate> scored);
 
@@ -117,9 +110,6 @@ class Diagnoser {
   ScanConfig scan_;
   DiagnoserOptions opts_;
   FaultSimulator* fsim_ = nullptr;
-  /// Simulator clones for parallel candidate scoring (lazily built from
-  /// fsim_ on the first multi-threaded score pass; reset by bind()).
-  std::unique_ptr<sim::SimulatorPool> pool_;
 
   // Back-trace scratch, sized on the first diagnose(). mark_[g] == epoch_
   // iff the current cone walk reached g; count_ is all-zero between
@@ -135,7 +125,7 @@ class Diagnoser {
   std::size_t obs_total_fails_ = 0;  ///< Popcount of obs_mask_.
   std::vector<Word> fail_patterns_;  ///< Patterns with an observed fail.
   std::vector<Word> pass_patterns_;  ///< ~fail_patterns_.
-  ScoreScratch scratch_;             ///< Sequential-path scoring scratch.
+  ScoreScratch scratch_;
 
   std::vector<Signature> signatures_;
 };

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <future>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <queue>
 
@@ -12,7 +13,6 @@
 #include "obs/prof/counters.h"
 #include "obs/trace.h"
 #include "sim/bitpar/bitpar_sim.h"
-#include "sim/sim_pool.h"
 
 namespace m3dfl::diag {
 
@@ -142,8 +142,8 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
         out.push_back(std::move(e));
       }
     }
-    // take_stats() snapshots-and-resets, so pooled clones re-leased by a
-    // later shard never re-flush counts a previous shard already reported.
+    // take_stats() snapshots-and-resets, so a shard's simulator reused for
+    // its next unit never re-flushes counts this unit already reported.
     const sim::FaultSimulator::SimStats d = sim_.take_stats();
     sim_calls_ctr.add(d.observed_diff_calls);
     sim_det_ctr.add(d.detected);
@@ -166,7 +166,8 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
     bp.emplace(fsim.core());
     reg.gauge("sim.simd_tier").set(static_cast<double>(bp->tier()));
   }
-  auto build_sites_bp = [&](sim::bitpar::BitParallelSimulator::Workspace& ws,
+  using Workspace = sim::bitpar::BitParallelSimulator::Workspace;
+  auto build_sites_bp = [&](Workspace& ws,
                             std::span<const netlist::SiteId> site_list,
                             std::vector<Entry>& out) {
     M3DFL_OBS_SPAN(shard_span, "dictionary.shard");
@@ -204,91 +205,74 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
                           .count());
   };
 
-  // Shard plan: either cone-closed hierarchical regions (paper-scale mode)
-  // or contiguous site ranges. Both are lists of ascending site ids; the
-  // region lists are non-contiguous across shards, so that mode re-sorts
+  // Work units: either cone-closed hierarchical regions (paper-scale mode)
+  // or contiguous site ranges, the whole table when one shard runs, else
+  // about four per shard. Both are lists of ascending site ids. Each unit's
+  // entries land in its own slot and are concatenated in unit order, which
+  // reproduces the sequential entry sequence of contiguous ranges exactly;
+  // the region lists are non-contiguous across units, so that mode re-sorts
   // the merged entries back into canonical (site, polarity) order below.
+  const std::size_t shards = std::min(resolve_num_threads(options.num_threads),
+                                      std::max<std::size_t>(num_sites, 1));
   std::optional<part::HierPartition> hp;
   std::vector<netlist::SiteId> all_sites;
-  std::vector<std::span<const netlist::SiteId>> shard_sites;
+  std::vector<std::span<const netlist::SiteId>> unit_sites;
   const bool partitioned = options.partition_max_gates > 0;
   if (partitioned) {
     hp.emplace(nl, sites,
                part::HierPartitionOptions{options.partition_max_gates});
-    shard_sites.reserve(hp->num_regions());
+    unit_sites.reserve(hp->num_regions());
     for (const part::Region& r : hp->regions()) {
-      if (!r.sites.empty()) shard_sites.push_back(r.sites);
+      if (!r.sites.empty()) unit_sites.push_back(r.sites);
     }
     reg.gauge("dictionary.partition_regions")
         .set(static_cast<double>(hp->num_regions()));
   } else {
     all_sites.resize(num_sites);
     for (netlist::SiteId s = 0; s < num_sites; ++s) all_sites[s] = s;
-  }
-
-  std::size_t threads = resolve_num_threads(options.num_threads);
-  threads = std::min(threads, std::max<std::size_t>(num_sites, 1));
-  if (!partitioned) {
-    // Contiguous ranges sized for the pool: concatenating the shard outputs
-    // in shard order reproduces the sequential entry sequence exactly.
-    const std::size_t num_chunks =
-        threads <= 1 ? 1 : std::min(num_sites, threads * 4);
+    const std::size_t units = shards > 1 ? std::min(num_sites, shards * 4) : 1;
     const std::size_t chunk =
-        num_chunks == 0 ? 1 : (num_sites + num_chunks - 1) / num_chunks;
-    for (std::size_t c = 0; c * chunk < num_sites; ++c) {
-      const std::size_t lo = c * chunk;
-      const std::size_t hi = std::min(num_sites, (c + 1) * chunk);
-      shard_sites.push_back(
-          std::span<const netlist::SiteId>(all_sites).subspan(lo, hi - lo));
+        std::max<std::size_t>(1, (num_sites + units - 1) / units);
+    for (std::size_t lo = 0; lo < num_sites; lo += chunk) {
+      unit_sites.push_back(std::span<const netlist::SiteId>(all_sites).subspan(
+          lo, std::min(chunk, num_sites - lo)));
     }
   }
 
-  if (threads <= 1) {
-    if (bitpar) {
-      sim::bitpar::BitParallelSimulator::Workspace ws;
-      for (const auto& span_ : shard_sites) {
-        build_sites_bp(ws, span_, entries_);
-      }
-    } else {
-      for (const auto& span_ : shard_sites) {
-        build_sites(fsim, span_, entries_);
-      }
-    }
-  } else {
-    // One task per shard, merged in shard order. Event shards lease pooled
-    // simulator clones; bit-parallel shards share the one immutable
-    // simulator and own a private Workspace each.
-    // Warm the netlist's lazy topo/level caches before fan-out (they are
-    // unsynchronized; every shard reads the same netlist).
+  // Per-shard state is made on the shard's own worker at its first unit, as
+  // in datagen: event shard 0 runs on `fsim`, every other shard on a clone
+  // of it; bit-parallel shards own a Workspace each. The netlist's lazy
+  // topo/level caches are unsynchronized, so they are warmed first.
+  if (shards > 1) {
     nl.topo_order();
     nl.levels();
     nl.depth();
-    std::optional<sim::SimulatorPool> pool;
-    if (!bitpar) pool.emplace(fsim);
-    Executor exec(threads, "dictionary");
-    std::vector<std::vector<Entry>> shards(shard_sites.size());
-    std::vector<std::future<void>> done;
-    done.reserve(shards.size());
-    for (std::size_t c = 0; c < shard_sites.size(); ++c) {
-      const std::span<const netlist::SiteId> span_ = shard_sites[c];
+  }
+  std::vector<std::unique_ptr<sim::FaultSimulator>> clones(shards);
+  std::vector<std::unique_ptr<Workspace>> workspaces(shards);
+  std::vector<std::vector<Entry>> outs(unit_sites.size());
+  auto build_units = [&](std::size_t shard, std::size_t u0, std::size_t u1) {
+    for (std::size_t u = u0; u < u1; ++u) {
       if (bitpar) {
-        done.push_back(exec.submit([&build_sites_bp, &shards, c, span_] {
-          sim::bitpar::BitParallelSimulator::Workspace ws;
-          build_sites_bp(ws, span_, shards[c]);
-        }));
+        std::unique_ptr<Workspace>& ws = workspaces[shard];
+        if (!ws) ws = std::make_unique<Workspace>();
+        build_sites_bp(*ws, unit_sites[u], outs[u]);
       } else {
-        done.push_back(exec.submit([&build_sites, &pool, &shards, c, span_] {
-          auto sim_ = pool->lease();
-          build_sites(*sim_, span_, shards[c]);
-        }));
+        std::unique_ptr<sim::FaultSimulator>& own = clones[shard];
+        if (shard > 0 && !own) own = fsim.clone();
+        build_sites(shard == 0 ? fsim : *own, unit_sites[u], outs[u]);
       }
     }
-    for (auto& f : done) f.get();  // Propagates shard exceptions.
-    std::size_t total = 0;
-    for (const auto& sh : shards) total += sh.size();
-    entries_.reserve(total);
-    for (auto& sh : shards) {
-      for (Entry& e : sh) entries_.push_back(std::move(e));
+  };
+  for_each_chunk(shards, unit_sites.size(), 1, "dictionary", build_units);
+  std::size_t total = 0;
+  for (const std::vector<Entry>& out : outs) total += out.size();
+  for (std::vector<Entry>& out : outs) {
+    if (entries_.empty()) {
+      entries_ = std::move(out);  // One unit (the serial case) moves whole.
+      entries_.reserve(total);
+    } else {
+      std::move(out.begin(), out.end(), std::back_inserter(entries_));
     }
   }
 

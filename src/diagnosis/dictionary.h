@@ -34,9 +34,9 @@ struct FaultDictionaryOptions {
   /// Report size cap for nearest-signature fallback.
   std::size_t max_candidates = 32;
   /// Worker threads for the signature campaign (0 = hardware concurrency).
-  /// Sites are sharded into contiguous ranges over pooled simulator
-  /// clones and merged in site order, so the dictionary is bit-identical
-  /// at every thread count.
+  /// Contiguous site ranges (or regions) are swept by for_each_chunk, each
+  /// shard on its own simulator workspace, and merged in site order, so
+  /// the dictionary is bit-identical at every thread count.
   std::size_t num_threads = 0;
   /// Simulation engine for the campaign. kBitParallel batches up to 512
   /// (site, polarity) jobs per sweep; both backends yield bit-identical

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <future>
+#include <memory>
 #include <optional>
 #include <span>
 
@@ -14,7 +14,6 @@
 #include "obs/prof/counters.h"
 #include "obs/trace.h"
 #include "sim/bitpar/bitpar_sim.h"
-#include "sim/sim_pool.h"
 
 namespace m3dfl::eval {
 
@@ -175,8 +174,8 @@ Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
                              .count());
       (present[i] ? samples_ctr : skipped_ctr).add(1);
     }
-    // take_stats() snapshots-and-resets, so pooled clones re-leased by a
-    // later shard never re-flush counts a previous shard already reported.
+    // take_stats() snapshots-and-resets, so a shard's simulator reused for
+    // its next unit never re-flushes counts this unit already reported.
     const sim::FaultSimulator::SimStats d = fsim.take_stats();
     sim_calls_ctr.add(d.observed_diff_calls);
     sim_det_ctr.add(d.detected);
@@ -199,8 +198,8 @@ Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
     bp.emplace(*design.core);
     reg.gauge("sim.simd_tier").set(static_cast<double>(bp->tier()));
   }
-  auto run_range_bp = [&](sim::bitpar::BitParallelSimulator::Workspace& ws,
-                          std::size_t lo, std::size_t hi) {
+  using Workspace = sim::bitpar::BitParallelSimulator::Workspace;
+  auto run_range_bp = [&](Workspace& ws, std::size_t lo, std::size_t hi) {
     M3DFL_OBS_SPAN(shard_span, "datagen.shard");
     M3DFL_OBS_COUNTERS(shard_ctrs, "datagen.shard");
     sim::bitpar::BitParallelSimulator::BatchResult res;
@@ -283,48 +282,41 @@ Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
     sim::bitpar::flush_bitpar_metrics(ws.stats);
   };
 
-  std::size_t threads = resolve_num_threads(opts.num_threads);
-  threads = std::min(threads, std::max<std::size_t>(n, 1));
-  if (threads <= 1) {
-    if (bitpar) {
-      sim::bitpar::BitParallelSimulator::Workspace ws;
-      run_range_bp(ws, 0, n);
-    } else {
-      run_range(*design.fsim, 0, n);
-    }
-  } else {
-    // Contiguous index shards. Event shards lease pooled simulator clones;
-    // bit-parallel shards share the one immutable simulator and own a
-    // private Workspace each. The design's shared simulator is never
-    // touched concurrently. The netlist's lazy topo/level caches are
-    // unsynchronized, so warm them before fan-out (same move as
-    // serve::DiagnosisService::register_design).
+  // Work units are contiguous sample ranges: the whole set when one shard
+  // runs, else about four per shard. Every unit is one bit-parallel sweep
+  // span, so the lane packing follows from the thread count alone, never
+  // from which shard claimed what. Per-shard state is made on the shard's
+  // own worker at its first unit: event shard 0 runs on the design's
+  // simulator and every other shard clones a workspace (clone() only reads
+  // the shared core); bit-parallel shards share the one immutable simulator
+  // and own a Workspace each. The netlist's lazy topo/level caches are
+  // unsynchronized, so they are warmed before the fan-out.
+  const std::size_t shards = std::min(resolve_num_threads(opts.num_threads),
+                                      std::max<std::size_t>(n, 1));
+  const std::size_t units = shards > 1 ? std::min(n, shards * 4) : 1;
+  const std::size_t span = std::max<std::size_t>(1, (n + units - 1) / units);
+  if (shards > 1) {
     design.nl.topo_order();
     design.nl.levels();
     design.nl.depth();
-    std::optional<sim::SimulatorPool> pool;
-    if (!bitpar) pool.emplace(*design.fsim);
-    Executor exec(threads, "datagen");
-    const std::size_t num_chunks = std::min(n, threads * 4);
-    const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
-    std::vector<std::future<void>> done;
-    done.reserve(num_chunks);
-    for (std::size_t lo = 0; lo < n; lo += chunk) {
-      const std::size_t hi = std::min(n, lo + chunk);
+  }
+  std::vector<std::unique_ptr<sim::FaultSimulator>> clones(shards);
+  std::vector<std::unique_ptr<Workspace>> workspaces(shards);
+  auto run_units = [&](std::size_t shard, std::size_t u0, std::size_t u1) {
+    for (std::size_t u = u0; u < u1; ++u) {
+      const std::size_t lo = u * span, hi = std::min(n, lo + span);
       if (bitpar) {
-        done.push_back(exec.submit([&run_range_bp, lo, hi] {
-          sim::bitpar::BitParallelSimulator::Workspace ws;
-          run_range_bp(ws, lo, hi);
-        }));
+        std::unique_ptr<Workspace>& ws = workspaces[shard];
+        if (!ws) ws = std::make_unique<Workspace>();
+        run_range_bp(*ws, lo, hi);
       } else {
-        done.push_back(exec.submit([&run_range, &pool, lo, hi] {
-          auto sim = pool->lease();
-          run_range(*sim, lo, hi);
-        }));
+        std::unique_ptr<sim::FaultSimulator>& own = clones[shard];
+        if (shard > 0 && !own) own = design.fsim->clone();
+        run_range(shard == 0 ? *design.fsim : *own, lo, hi);
       }
     }
-    for (auto& f : done) f.get();  // Propagates shard exceptions.
-  }
+  };
+  for_each_chunk(shards, (n + span - 1) / span, 1, "datagen", run_units);
 
   Dataset ds;
   ds.samples.reserve(n);

@@ -9,8 +9,8 @@
 namespace m3dfl::eval {
 
 struct QuantizeOptions {
-  /// Threads for the calibration sweep (scales are bit-identical at every
-  /// value; see gnn::QuantCalibrationOptions).
+  /// Threads for the calibration sweep, 0 = hardware concurrency (scales
+  /// are bit-identical at every value; see gnn::QuantCalibrationOptions).
   std::size_t num_threads = 1;
   /// Precision target for re-deriving T_p on the quantized confidence
   /// distribution (matches RunScale::tp_precision_target).

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <future>
 #include <vector>
 
 #include "common/executor.h"
@@ -150,33 +149,26 @@ void observe_scorer(const NodeScorer& m, const SubGraph& g,
   }
 }
 
-/// Shards the calibration set over an Executor and max-merges the per-shard
-/// statistics. absmax is order-independent under max, so the merged scales
-/// are bit-identical at every thread count.
+/// Largest run of calibration graphs a shard claims at once.
+constexpr std::size_t kMaxCalibChunk = 16;
+
+/// Sweeps the calibration set with for_each_chunk, one statistic per shard,
+/// and max-merges them. absmax is order-independent under max, so the
+/// merged scales are bit-identical at every thread count and chunking.
 template <typename Observe>
 ClassifierAbsmax sweep_calibration(std::span<const SubGraph* const> calib,
                                    std::size_t num_threads, Observe observe) {
+  const std::size_t shards = std::min(resolve_num_threads(num_threads),
+                                      std::max<std::size_t>(calib.size(), 1));
+  std::vector<ClassifierAbsmax> partial(shards);
+  for_each_chunk(shards, calib.size(), kMaxCalibChunk, "quant_calib",
+                 [&](std::size_t shard, std::size_t lo, std::size_t hi) {
+                   for (std::size_t i = lo; i < hi; ++i) {
+                     observe(*calib[i], partial[shard]);
+                   }
+                 });
   ClassifierAbsmax total;
-  const std::size_t n = calib.size();
-  const std::size_t workers = std::max<std::size_t>(1, num_threads);
-  if (workers <= 1 || n <= 1) {
-    for (const SubGraph* g : calib) observe(*g, total);
-    return total;
-  }
-  Executor pool(workers, "quant_calib");
-  const std::size_t shards = std::min(workers * 4, n);
-  std::vector<std::future<ClassifierAbsmax>> futs;
-  futs.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t lo = n * s / shards;
-    const std::size_t hi = n * (s + 1) / shards;
-    futs.push_back(pool.submit([&, lo, hi] {
-      ClassifierAbsmax local;
-      for (std::size_t i = lo; i < hi; ++i) observe(*calib[i], local);
-      return local;
-    }));
-  }
-  for (auto& f : futs) total.merge(f.get());
+  for (const ClassifierAbsmax& p : partial) total.merge(p);
   return total;
 }
 

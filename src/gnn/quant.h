@@ -120,9 +120,10 @@ struct QuantizedGcnStack {
 };
 
 struct QuantCalibrationOptions {
-  /// Worker threads for the calibration sweep. The collected statistic is
-  /// a per-tensor absmax — order-independent — so scales are bit-identical
-  /// at every thread count.
+  /// Worker threads for the calibration sweep (0 = hardware concurrency,
+  /// as resolve_num_threads() reads every stage's knob). The collected
+  /// statistic is a per-tensor absmax — order-independent — so scales are
+  /// bit-identical at every thread count.
   std::size_t num_threads = 1;
 };
 

@@ -141,8 +141,8 @@ class FaultSimulator {
 
   /// A fresh workspace over this (bound) simulator's core: it shares the
   /// core and copies nothing fixed after bind, so cloning costs one
-  /// faulty-value row set plus per-gate flags — the facility behind
-  /// SimulatorPool and every parallel pipeline stage. Clones behave
+  /// faulty-value row set plus per-gate flags — the per-shard simulator of
+  /// every parallel pipeline stage and serving worker. Clones behave
   /// identically to the original, zero-allocation steady state included.
   std::unique_ptr<FaultSimulator> clone() const;
 
@@ -152,7 +152,7 @@ class FaultSimulator {
 
   /// Snapshots the counters and resets them to zero — the shard-flush
   /// primitive: every flush site consumes exactly the work it observed,
-  /// no matter how often the simulator is reused or pooled.
+  /// no matter how often the simulator is reused.
   SimStats take_stats() {
     SimStats s = stats_;
     stats_ = SimStats{};

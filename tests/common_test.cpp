@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
+#include "common/executor.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -139,6 +144,102 @@ TEST(Table, Formatters) {
   EXPECT_EQ(fmt_pct(0.9932, 1), "99.3%");
   EXPECT_EQ(fmt_delta_pct(0.329, 1), "(+32.9%)");
   EXPECT_EQ(fmt_delta_pct(-0.004, 1), "(-0.4%)");
+}
+
+TEST(ForEachChunk, VisitsEveryIndexExactlyOnce) {
+  for (std::size_t n : {0, 1, 7, 1000}) {
+    for (std::size_t shards : {1, 2, 8}) {
+      for (std::size_t max_chunk : {1, 64}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " shards=" +
+                     std::to_string(shards) + " max_chunk=" +
+                     std::to_string(max_chunk));
+        std::vector<std::atomic<int>> visits(n);
+        std::atomic<int> bad_ranges{0};
+        for_each_chunk(shards, n, max_chunk, nullptr,
+                       [&](std::size_t, std::size_t lo, std::size_t hi) {
+                         // Inline (one shard) is a single fn(0, 0, n).
+                         const std::size_t cap = shards > 1 ? max_chunk : n;
+                         if (lo > hi || hi > n || hi - lo > cap) ++bad_ranges;
+                         for (std::size_t i = lo; i < hi; ++i) ++visits[i];
+                       });
+        EXPECT_EQ(bad_ranges.load(), 0);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(visits[i].load(), 1) << "index " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ForEachChunk, ShardIndexBelowShardCountAndOwnedByOneThread) {
+  for (std::size_t shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    std::atomic<int> out_of_range{0};
+    // Per-shard scratch written without a lock, as callers do; TSan flags
+    // any shard index that two threads share at once.
+    std::vector<std::thread::id> owner(shards);
+    std::vector<std::size_t> items(shards, 0);
+    for_each_chunk(shards, 1000, 1, nullptr,
+                   [&](std::size_t shard, std::size_t lo, std::size_t hi) {
+                     if (shard >= shards) {
+                       ++out_of_range;
+                       return;
+                     }
+                     if (items[shard] == 0) {
+                       owner[shard] = std::this_thread::get_id();
+                     } else if (owner[shard] != std::this_thread::get_id()) {
+                       ++out_of_range;
+                     }
+                     items[shard] += hi - lo;
+                   });
+    EXPECT_EQ(out_of_range.load(), 0);
+    std::size_t total = 0;
+    for (std::size_t c : items) total += c;
+    EXPECT_EQ(total, 1000u);
+  }
+}
+
+TEST(ForEachChunk, OneShardRunsInlineOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  for_each_chunk(1, 100, 1, nullptr,
+                 [&](std::size_t shard, std::size_t lo, std::size_t hi) {
+                   EXPECT_EQ(shard, 0u);
+                   ran_on.push_back(std::this_thread::get_id());
+                   ranges.emplace_back(lo, hi);
+                 });
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0], (std::pair<std::size_t, std::size_t>{0, 100}));
+  EXPECT_EQ(ran_on[0], caller);
+}
+
+TEST(ForEachChunk, RethrowsAfterTheOtherShardsFinish) {
+  constexpr std::size_t kN = 1000;
+  constexpr std::size_t kThrowAt = 10;
+  std::atomic<int> running{0};
+  std::atomic<std::size_t> completed{0};
+  struct Running {
+    std::atomic<int>& n;
+    explicit Running(std::atomic<int>& r) : n(r) { ++n; }
+    ~Running() { --n; }
+  };
+  try {
+    for_each_chunk(4, kN, 1, nullptr,
+                   [&](std::size_t, std::size_t lo, std::size_t hi) {
+                     const Running guard(running);
+                     if (lo == kThrowAt) throw std::runtime_error("chunk");
+                     std::this_thread::yield();
+                     completed += hi - lo;
+                   });
+    FAIL() << "the chunk's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk");
+    // Every shard has returned, and the shards that did not throw swept
+    // every other item.
+    EXPECT_EQ(running.load(), 0);
+    EXPECT_EQ(completed.load(), kN - 1);
+  }
 }
 
 }  // namespace

@@ -205,8 +205,7 @@ TEST(Diagnoser, MultiFaultModeFindsAllInjected) {
   EXPECT_GE(all_found, tested / 2) << "multi-fault accuracy collapsed";
 }
 
-// Field-exact report equality: the multi-threaded scoring path must
-// reproduce the sequential reports bit for bit.
+// Field-exact report equality.
 void expect_reports_identical(const DiagnosisReport& a,
                               const DiagnosisReport& b) {
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
@@ -222,59 +221,6 @@ void expect_reports_identical(const DiagnosisReport& a,
     EXPECT_EQ(x.mispredicted, y.mispredicted) << "rank " << i;
     EXPECT_EQ(x.missed, y.missed) << "rank " << i;
   }
-}
-
-TEST(Diagnoser, ParallelScoringReportsBitIdentical) {
-  Fixture fx(93);
-  Diagnoser base = fx.make_diagnoser();
-  DiagnoserOptions par_opts;
-  par_opts.num_threads = 4;
-  Diagnoser parallel = fx.make_diagnoser(par_opts);
-
-  Rng rng(94);
-  int tested = 0;
-  for (int trial = 0; trial < 40 && tested < 12; ++trial) {
-    const InjectedFault f{
-        static_cast<SiteId>(rng.next_below(fx.sites.size())),
-        FaultPolarity::kSlow};
-    for (bool compacted : {false, true}) {
-      const sim::FailureLog log = fx.inject(f, compacted);
-      if (log.empty()) continue;
-      ++tested;
-      expect_reports_identical(base.diagnose(log), parallel.diagnose(log));
-    }
-  }
-  EXPECT_GE(tested, 8);
-}
-
-TEST(Diagnoser, MultiFaultParallelScoringBitIdentical) {
-  Fixture fx(95);
-  DiagnoserOptions opts;
-  opts.multifault = true;
-  opts.max_candidates = 64;
-  Diagnoser base = fx.make_diagnoser(opts);
-  DiagnoserOptions par_opts = opts;
-  par_opts.num_threads = 4;
-  Diagnoser parallel = fx.make_diagnoser(par_opts);
-
-  Rng rng(96);
-  int tested = 0;
-  for (int trial = 0; trial < 30 && tested < 8; ++trial) {
-    const InjectedFault faults[2] = {
-        {static_cast<SiteId>(rng.next_below(fx.sites.size())),
-         FaultPolarity::kSlow},
-        {static_cast<SiteId>(rng.next_below(fx.sites.size())),
-         FaultPolarity::kSlow}};
-    if (faults[0].site == faults[1].site) continue;
-    std::vector<sim::Word> diff;
-    if (!fx.fsim.observed_diff(faults, diff)) continue;
-    const auto log = sim::failure_log_from_diff(diff, fx.nl.num_outputs(),
-                                                fx.fsim.num_patterns());
-    if (log.empty()) continue;
-    ++tested;
-    expect_reports_identical(base.diagnose(log), parallel.diagnose(log));
-  }
-  EXPECT_GE(tested, 5);
 }
 
 // Brute-force back-trace reference: a dense fan-in-cone bitset per
@@ -615,21 +561,17 @@ TEST(Diagnoser, TwoPhaseScoringMatchesFullSimulationReference) {
   }
 
   std::size_t compared = 0;
-  for (std::size_t threads : {1, 4}) {
-    DiagnoserOptions opts;
-    opts.keep_score_ratio = 0;
-    opts.min_score = 0;
-    opts.max_candidates = 1u << 30;  // The report is every scored site.
-    opts.num_threads = threads;
-    Diagnoser diag = fx.make_diagnoser(opts);
-    for (std::size_t i = 0; i < logs.size(); ++i) {
-      SCOPED_TRACE("log " + std::to_string(i) +
-                   " threads=" + std::to_string(threads));
-      DiagnosisReport want;
-      want.candidates = reference_scores(fx, diag, opts, logs[i]);
-      compared += want.candidates.size();
-      expect_reports_identical(diag.diagnose(logs[i]), want);
-    }
+  DiagnoserOptions opts;
+  opts.keep_score_ratio = 0;
+  opts.min_score = 0;
+  opts.max_candidates = 1u << 30;  // The report is every scored site.
+  Diagnoser diag = fx.make_diagnoser(opts);
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    SCOPED_TRACE("log " + std::to_string(i));
+    DiagnosisReport want;
+    want.candidates = reference_scores(fx, diag, opts, logs[i]);
+    compared += want.candidates.size();
+    expect_reports_identical(diag.diagnose(logs[i]), want);
   }
   EXPECT_GT(compared, 200u);
 }

@@ -222,21 +222,19 @@ TEST(PaperScale, DatagenAndParallelDiagnosisEndToEnd) {
     EXPECT_GT(s.sub.num_nodes(), 0u);
   }
 
-  // Multi-threaded candidate scoring is bit-identical to the sequential
-  // engine at paper scale.
-  diag::DiagnoserOptions seq_opts = d.spec.diag;
-  seq_opts.num_threads = 1;
-  diag::Diagnoser seq(d.nl, d.sites, d.scan, seq_opts);
-  seq.bind(*d.fsim);
-  diag::DiagnoserOptions par_opts = seq_opts;
-  par_opts.num_threads = 8;
-  diag::Diagnoser par(d.nl, d.sites, d.scan, par_opts);
-  par.bind(*d.fsim);
+  // A Diagnoser bound to a clone of the design's simulator (as every
+  // serving worker binds one) reports bit-identically at paper scale to one
+  // bound to the design's own.
+  diag::Diagnoser own(d.nl, d.sites, d.scan, d.spec.diag);
+  own.bind(*d.fsim);
+  const std::unique_ptr<sim::FaultSimulator> clone = d.fsim->clone();
+  diag::Diagnoser cloned(d.nl, d.sites, d.scan, d.spec.diag);
+  cloned.bind(*clone);
 
   std::size_t nonempty = 0;
   for (const eval::Sample& s : ds.samples) {
-    const diag::DiagnosisReport rs = seq.diagnose(s.log);
-    const diag::DiagnosisReport rp = par.diagnose(s.log);
+    const diag::DiagnosisReport rs = own.diagnose(s.log);
+    const diag::DiagnosisReport rp = cloned.diagnose(s.log);
     ASSERT_EQ(rs.candidates.size(), rp.candidates.size());
     for (std::size_t r = 0; r < rs.candidates.size(); ++r) {
       EXPECT_EQ(rs.candidates[r].site, rp.candidates[r].site);

@@ -14,7 +14,6 @@
 #include "eval/datagen.h"
 #include "gnn/trainer.h"
 #include "obs/trace.h"
-#include "sim/sim_pool.h"
 
 namespace m3dfl::eval {
 namespace {
@@ -187,27 +186,6 @@ TEST(ParallelTrainer, BitIdenticalAcrossThreadCounts) {
           << "param " << p;
     }
   }
-}
-
-TEST(SimulatorPool, ClonesMatchThePrototype) {
-  const Design& d = cached_design(tiny_spec(), Config::kSyn1);
-  sim::SimulatorPool pool(*d.fsim);
-  std::vector<sim::Word> want, got;
-  const sim::InjectedFault fault{0, sim::FaultPolarity::kSlowToRise};
-  const bool detected = d.fsim->observed_diff({fault}, want);
-  {
-    auto lease = pool.lease();
-    EXPECT_EQ(lease->num_patterns(), d.fsim->num_patterns());
-    EXPECT_EQ(lease->num_words(), d.fsim->num_words());
-    EXPECT_EQ(lease->observed_diff({fault}, got), detected);
-    if (detected) {
-      EXPECT_EQ(got, want);
-    }
-  }
-  // The lease returned its simulator; the next acquire reuses it.
-  EXPECT_EQ(pool.created(), 1u);
-  auto again = pool.lease();
-  EXPECT_EQ(pool.created(), 1u);
 }
 
 }  // namespace

@@ -639,7 +639,7 @@ TEST(SimStats, ClonesStartAtZeroAndTakeStatsFlushes) {
   fx.fsim.observed_diff({0, FaultPolarity::kSlow}, diff);
   ASSERT_GT(fx.fsim.sim_stats().observed_diff_calls, 0u);
 
-  // A pooled clone must not inherit the source's counters — flushing the
+  // A shard's clone must not inherit the source's counters — flushing the
   // clone's stats after a shard would otherwise re-report (double-count)
   // work the source already did.
   const auto clone = fx.fsim.clone();
@@ -647,7 +647,13 @@ TEST(SimStats, ClonesStartAtZeroAndTakeStatsFlushes) {
   EXPECT_EQ(clone->sim_stats().events_processed, 0u);
   EXPECT_EQ(clone->sim_stats().words_evaluated, 0u);
 
-  clone->observed_diff({0, FaultPolarity::kSlow}, diff);
+  // The clone simulates exactly what its prototype does.
+  EXPECT_EQ(clone->num_patterns(), fx.fsim.num_patterns());
+  EXPECT_EQ(clone->num_words(), fx.fsim.num_words());
+  std::vector<Word> got;
+  EXPECT_EQ(clone->observed_diff({0, FaultPolarity::kSlow}, got),
+            fx.fsim.observed_diff({0, FaultPolarity::kSlow}, diff));
+  EXPECT_EQ(got, diff);
   const FaultSimulator::SimStats first = clone->take_stats();
   EXPECT_EQ(first.observed_diff_calls, 1u);
   // take_stats() consumed the counters: a second flush reports nothing.
